@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .axial import AxialPolynomial, BivariatePoly
 from .exact import binomial, double_factorial
@@ -60,6 +61,32 @@ def appell_polynomial(n: int, k: int) -> AxialPolynomial:
         key = (k - s, s)
         target[key] = target.get(key, 0) + signed
     return AxialPolynomial(BivariatePoly(a_terms), BivariatePoly(b_terms), n)
+
+
+def appell_combination(n: int, coeffs: Sequence) -> AxialPolynomial:
+    """sum_k a_k P_k^n for coeffs = (a_0, ..., a_K), as one direct sum.
+
+    The term a_k C(k,s) c_n^s x0^(k-s) x^s is folded into (r, omega) as
+    in appell_polynomial and lands at key (k-s, s) of A (even s) or B
+    (odd s) with sign (-1)^(s // 2).  Each key occurs once, so the
+    (K+1)(K+2)/2 terms are written straight into two dicts: O(K^2)
+    coefficient products and no P_k built.  Iterating k outer, s inner
+    gives the same term order as adding a_k P_k one at a time.  The
+    c-table is read through c_coeff on every call.
+    """
+    signed_c = [-c if s & 2 else c for s, c in enumerate(c_table(n, len(coeffs) - 1))]
+    a_terms: dict = {}
+    b_terms: dict = {}
+    for k, a in enumerate(coeffs):
+        if not a:
+            continue
+        binom = 1
+        for s in range(k + 1):
+            term = a * binom * signed_c[s]
+            if term:
+                (b_terms if s & 1 else a_terms)[(k - s, s)] = term
+            binom = binom * (k - s) // (s + 1)
+    return AxialPolynomial(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
 
 
 @dataclass(frozen=True)

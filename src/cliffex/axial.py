@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, Tuple
 
 from .clifford import Multivector, Paravector
@@ -43,6 +44,19 @@ class BivariatePoly:
                 if c:
                     clean[(i, j)] = c
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "BivariatePoly":
+        """Wrap a dict that is clean by construction, without copying it.
+
+        The caller guarantees nonnegative exponents and nonzero
+        coefficients and hands over ownership of the dict.  Going
+        through cls.__new__ keeps instance creation observable to
+        anything that hooks it.
+        """
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
@@ -80,8 +94,12 @@ class BivariatePoly:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return BivariatePoly(out)
+            total = out.get(key, 0) + c
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return BivariatePoly._trusted(out)
 
     def __sub__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -89,7 +107,7 @@ class BivariatePoly:
         return self + (-other)
 
     def __neg__(self):
-        return BivariatePoly({key: -c for key, c in self._terms.items()})
+        return BivariatePoly._trusted({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, BivariatePoly):
@@ -120,14 +138,14 @@ class BivariatePoly:
         for (i, j), c in self._terms.items():
             if i > 0:
                 out[(i - 1, j)] = i * c
-        return BivariatePoly(out)
+        return BivariatePoly._trusted(out)
 
     def diff_r(self) -> "BivariatePoly":
         out = {}
         for (i, j), c in self._terms.items():
             if j > 0:
                 out[(i, j - 1)] = j * c
-        return BivariatePoly(out)
+        return BivariatePoly._trusted(out)
 
     def divide_r(self) -> "BivariatePoly":
         """Exact quotient by r; every term must have positive r-degree."""
@@ -136,7 +154,7 @@ class BivariatePoly:
             if j == 0:
                 raise ValueError("term with r-degree 0 is not divisible by r")
             out[(i, j - 1)] = c
-        return BivariatePoly(out)
+        return BivariatePoly._trusted(out)
 
     def evaluate(self, x0, r):
         """Plain substitution; works for exact and float arguments alike."""
@@ -151,12 +169,10 @@ class BivariatePoly:
         This is the radical-free route: no square root of r_sq is ever
         taken, so exact rational points stay exact.
         """
-        total = 0
-        for (i, j), c in self._terms.items():
+        for _, j in self._terms:
             if j % 2:
                 raise ValueError("odd r-degree %d cannot use the r^2 substitution" % j)
-            total += c * x0**i * r_sq ** (j // 2)
-        return total
+        return _even_sum(self, x0, r_sq)
 
 
 class AxialPolynomial:
@@ -248,9 +264,8 @@ def radial_lower_even(p: BivariatePoly) -> BivariatePoly:
         if j % 2:
             raise ValueError("even-lowering rule applied to odd r-degree %d" % j)
         if j >= 2:
-            key = (i, j - 2)
-            out[key] = out.get(key, 0) + j * c
-    return BivariatePoly(out)
+            out[(i, j - 2)] = j * c
+    return BivariatePoly._trusted(out)
 
 
 def radial_lower_odd(p: BivariatePoly) -> BivariatePoly:
@@ -263,9 +278,8 @@ def radial_lower_odd(p: BivariatePoly) -> BivariatePoly:
         if j % 2 == 0:
             raise ValueError("odd-lowering rule applied to even r-degree %d" % j)
         if j >= 3:
-            key = (i, j - 2)
-            out[key] = out.get(key, 0) + (j - 1) * c
-    return BivariatePoly(out)
+            out[(i, j - 2)] = (j - 1) * c
+    return BivariatePoly._trusted(out)
 
 
 def apply_radial_powers(uv: Tuple[BivariatePoly, BivariatePoly], n: int) -> AxialPolynomial:
@@ -301,19 +315,21 @@ def evaluate(F: AxialPolynomial, x: Paravector, mode: str = "exact") -> Multivec
     """Value of A + omega B at a paravector point, as a multivector.
 
     Exact mode never materializes |x|: A is evaluated through r^2 and
-    omega B = x * C(x0, r^2) with B = r C.  Float mode goes the naive
-    way through math.sqrt, which doubles as an independent numeric
-    cross-check of the exact route.  x with zero vector part is fine in
-    both modes since B is odd in r.
+    omega B = x * C(x0, r^2) with B = r C, C read straight off the
+    exponents of B.  At a rational point each part is summed in
+    integers over one common denominator and reduced to a Fraction
+    once, instead of adding one Fraction (and taking one gcd) per term.
+    Float mode goes the naive way through math.sqrt, which doubles as
+    an independent numeric cross-check of the exact route.  x with zero
+    vector part is fine in both modes since B is odd in r.
     """
     if x.n != F.n:
         raise ValueError("point dimension %d does not match polynomial dimension %d" % (x.n, F.n))
     if mode == "exact":
         r_sq = x.vector_norm_sq()
-        scalar = F.A.evaluate_even(x.x0, r_sq)
-        coeffs = {0: scalar}
+        coeffs = {0: _even_sum(F.A, x.x0, r_sq)}
         if not F.B.is_zero and r_sq:
-            c_val = F.B.divide_r().evaluate_even(x.x0, r_sq)
+            c_val = _even_sum(F.B, x.x0, r_sq)
             for idx, comp in enumerate(x.vec):
                 if comp:
                     coeffs[1 << idx] = comp * c_val
@@ -331,6 +347,44 @@ def evaluate(F: AxialPolynomial, x: Paravector, mode: str = "exact") -> Multivec
                     coeffs[1 << idx] = unit * b_val
         return Multivector(F.n, coeffs)
     raise ValueError("mode must be 'exact' or 'float', got %r" % (mode,))
+
+
+def _even_sum(p: BivariatePoly, x0, r_sq):
+    """Sum of c x0^i (r^2)^(j // 2) over the terms of p.
+
+    For A (even in r) this is A(x0, r); for B (odd in r) it is B/r.
+    At a rational point, with x0 = a/b, r^2 = u/v and L the lcm of the
+    coefficient denominators, every term times L b^D v^M (D, M the
+    largest exponents) is an integer: the sum is accumulated in
+    integers, grouped by r-exponent so each term costs one big
+    multiply, and reduced to a Fraction once at the end.  Other points,
+    and polynomials with a coefficient that is not rational (say a
+    float), take plain term-by-term substitution.
+    """
+    terms = p._terms
+    exact = isinstance(x0, Rational) and isinstance(r_sq, Rational)
+    if exact:
+        try:
+            L = math.lcm(*{c.denominator for c in terms.values()})
+        except (AttributeError, TypeError):  # a coefficient that is not rational
+            exact = False
+    if not exact:
+        return sum(c * x0**i * r_sq ** (j >> 1) for (i, j), c in terms.items())
+    if not terms:
+        return Fraction(0)
+    x0, r_sq = Fraction(x0), Fraction(r_sq)
+    a, b = x0.numerator, x0.denominator
+    u, v = r_sq.numerator, r_sq.denominator
+    D = max(i for i, _ in terms)
+    M = max(j for _, j in terms) >> 1
+    x_pows = [a**i * b ** (D - i) for i in range(D + 1)]
+    r_pows = [u**m * v ** (M - m) for m in range(M + 1)]
+    by_m: dict = {}
+    for (i, j), c in terms.items():
+        m = j >> 1
+        by_m[m] = by_m.get(m, 0) + c.numerator * (L // c.denominator) * x_pows[i]
+    total = sum(s * r_pows[m] for m, s in by_m.items())
+    return Fraction(total, L * b**D * v**M)
 
 
 def format_rational(c) -> str:

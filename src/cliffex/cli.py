@@ -99,10 +99,15 @@ def read_coefficient_file(path: str) -> series.SeriesSpec:
     """
     values = []
     with open(path) as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
-                values.append(Fraction(line))
+                try:
+                    values.append(Fraction(line))
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(
+                        "%s line %d: expected a rational like 2/3, got %r" % (path, number, line)
+                    )
     return series.from_coefficients(path, values)
 
 
@@ -291,11 +296,19 @@ _DISPATCH = {
 }
 
 
+def _require_nonnegative(args: argparse.Namespace) -> None:
+    for name in ("k", "kmax", "K", "M"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError("--%s must be nonnegative, got %d" % (name, value))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = _config_from_args(args)
     try:
+        _require_nonnegative(args)
         return _DISPATCH[config.command](config)
     except (ValueError, series.ConvergenceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

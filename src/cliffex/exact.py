@@ -42,11 +42,7 @@ def double_factorial(m: int) -> int:
     """
     if m < -1:
         raise ValueError("double factorial is undefined below -1: %r" % (m,))
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return math.prod(range(m, 1, -2))
 
 
 def binomial(k: int, s: int) -> int:

@@ -39,7 +39,7 @@ def monomial_split(k: int) -> MonomialSplit:
         coeff = binomial(k, s) * (-1) ** p
         target = v_terms if odd else u_terms
         target[(k - s, s)] = coeff
-    return MonomialSplit(k, BivariatePoly(u_terms), BivariatePoly(v_terms))
+    return MonomialSplit(k, BivariatePoly._trusted(u_terms), BivariatePoly._trusted(v_terms))
 
 
 @dataclass(frozen=True)

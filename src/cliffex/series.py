@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import fueter
-from .appell import appell_polynomial
+from .appell import appell_combination
 from .axial import AxialPolynomial, format_rational
 from .exact import double_factorial, factorial, pochhammer
 
@@ -133,18 +133,18 @@ class TruncatedExtension:
 
 
 def appell_extension(n: int, f: SeriesSpec, K: int) -> TruncatedExtension:
-    """Truncation of the Appell extension of f at degree K."""
+    """Truncation of the Appell extension of f at degree K.
+
+    Built by appell.appell_combination as one direct O(K^2) sum of
+    a_k C(k,s) c_n^s x0^(k-s) x^s over 0 <= s <= k <= K; no P_k is
+    built.
+    """
     _require_odd_dimension(n)
     if K < 0:
         raise ValueError("K must be nonnegative, got %r" % (K,))
-    coeffs = []
-    total = AxialPolynomial.zero(n)
-    for k in range(K + 1):
-        a = f.coeff(k)
-        coeffs.append((k, a))
-        if a:
-            total = total + a * appell_polynomial(n, k)
-    return TruncatedExtension(f.name, n, tuple(coeffs), total)
+    coeffs = tuple((k, f.coeff(k)) for k in range(K + 1))
+    total = appell_combination(n, [a for _, a in coeffs])
+    return TruncatedExtension(f.name, n, coeffs, total)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from cliffex.appell import appell_polynomial, appell_property_check, c_coeff, c_table
+from cliffex.appell import (
+    appell_combination,
+    appell_polynomial,
+    appell_property_check,
+    c_coeff,
+    c_table,
+)
 from cliffex.axial import AxialPolynomial, BivariatePoly, evaluate, vekua_residual
 from cliffex.clifford import Multivector, Paravector, paravector_power
 
@@ -53,6 +59,18 @@ def test_appell_polynomial_low_degrees():
         BivariatePoly({(1, 1): F(2, 3)}),
         3,
     )
+
+
+def test_appell_combination_of_one_term_is_the_appell_polynomial():
+    for n in (3, 5, 7):
+        for k in range(12):
+            unit = [0] * k + [F(-2, 3)]
+            got = appell_combination(n, unit)
+            want = F(-2, 3) * appell_polynomial(n, k)
+            assert got == want
+            assert list(got.A.terms()) == list(want.A.terms())
+            assert list(got.B.terms()) == list(want.B.terms())
+    assert appell_combination(3, [0, 0]) == AxialPolynomial.zero(3)
 
 
 def test_appell_property_sweep():

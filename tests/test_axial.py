@@ -191,3 +191,96 @@ def test_divide_r_requires_divisibility():
     with pytest.raises(ValueError):
         poly({(0, 0): 1}).divide_r()
     assert poly({(1, 3): 6}).divide_r() == poly({(1, 2): 6})
+
+
+def substituted(F, x):
+    """Term-by-term Fraction substitution: (scalar, vector) of A + omega B at x."""
+    x0 = Fraction(x.x0)
+    r_sq = sum(Fraction(c) ** 2 for c in x.vec)
+    scalar = sum((c * x0**i * r_sq ** (j // 2) for (i, j), c in F.A.terms()), Fraction(0))
+    c_val = sum((c * x0**i * r_sq ** ((j - 1) // 2) for (i, j), c in F.B.terms()), Fraction(0))
+    return scalar, tuple(Fraction(c) * c_val for c in x.vec)
+
+
+def random_axial(rng, n, degree):
+    a_terms, b_terms = {}, {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if rng.random() < 0.7:
+                target = b_terms if j % 2 else a_terms
+                target[(i, j)] = Fraction(rng.randrange(-20, 21), rng.randrange(1, 30))
+    return AxialPolynomial(poly(a_terms), poly(b_terms), n)
+
+
+def test_evaluate_exact_matches_term_by_term_substitution():
+    rng = random.Random(47)
+    points = [
+        Paravector(Fraction(0), (Fraction(3, 2), Fraction(-1, 3), Fraction(2))),
+        Paravector(Fraction(-7, 3), (0, 0, 0)),
+        Paravector(0, (0, 0, 0)),
+        Paravector(Fraction(-5, 4), (Fraction(-2, 7), Fraction(9, 5), Fraction(-1))),
+        Paravector(-3, (2, -1, 4)),
+    ]
+    for _ in range(20):
+        points.append(Paravector(
+            Fraction(rng.randrange(-40, 41), rng.randrange(1, 12)),
+            tuple(Fraction(rng.randrange(-40, 41), rng.randrange(1, 12)) for _ in range(3)),
+        ))
+    polys = [random_axial(rng, 3, d) for d in (1, 4, 9, 17)]
+    polys.append(AxialPolynomial(random_axial(rng, 3, 8).A, BivariatePoly.zero(), 3))
+    polys.append(AxialPolynomial.constant(Fraction(-5, 3), 3))
+    polys.append(AxialPolynomial.zero(3))
+    for F in polys:
+        for x in points:
+            value = evaluate(F, x)
+            scalar, vector = substituted(F, x)
+            assert value.scalar_part() == scalar
+            assert value.vector_part() == vector
+            assert value.max_grade() <= 1
+
+
+def test_evaluate_exact_at_float_points_substitutes_plainly():
+    F = AxialPolynomial(poly({(1, 2): Fraction(1, 2)}), poly({(0, 1): 2}), 3)
+    value = evaluate(F, Paravector(2.0, (1.0, 0.0, 0.0)))
+    assert value.scalar_part() == 1.0
+    assert value.vector_part() == (2.0, 0, 0)
+
+
+def test_evaluate_exact_with_float_coefficients_substitutes_plainly():
+    F = AxialPolynomial(poly({(2, 0): 1, (0, 2): Fraction(-1, 3)}), poly({(1, 1): 2}), 3)
+    value = evaluate(F * 0.5, Paravector(1, (Fraction(1, 2), 0, 0)))
+    assert value.scalar_part() == pytest.approx(11 / 24)
+    assert value.vector_part() == (0.5, 0, 0)
+    assert evaluate(F * 0.5, Paravector(1, (0, 0, 0))).scalar_part() == 0.5
+
+
+def test_evaluate_even_rejects_odd_r_degree():
+    with pytest.raises(ValueError):
+        poly({(0, 2): 1, (1, 1): 1}).evaluate_even(Fraction(1), Fraction(2))
+    assert poly({(1, 2): 3}).evaluate_even(Fraction(1, 2), Fraction(4)) == 6
+
+
+def test_sums_that_cancel_leave_no_zero_terms():
+    p = poly({(0, 0): 1, (2, 1): Fraction(1, 3)})
+    q = poly({(2, 1): Fraction(-1, 3), (1, 0): 2})
+    assert list((p + q).terms()) == [((0, 0), 1), ((1, 0), 2)]
+    assert (p - p).is_zero
+    assert (p - p) == BivariatePoly.zero()
+
+
+def test_trusted_constructor_goes_through_new():
+    class Counted(BivariatePoly):
+        __slots__ = ()
+        built = 0
+
+        def __new__(cls, *args, **kwargs):
+            Counted.built += 1
+            return super().__new__(cls)
+
+    terms = {(1, 0): Fraction(2)}
+    p = Counted._trusted(terms)
+    assert Counted.built == 1
+    assert type(p) is Counted and p == poly(terms)
+    with pytest.raises(ValueError):
+        BivariatePoly({(-1, 0): 1})
+    assert BivariatePoly({(0, 0): 0, (1, 0): 1}) == poly({(1, 0): 1})

@@ -182,3 +182,34 @@ def test_output_is_deterministic(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nosuchsuite", "--n", "3"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("appell", "--n", "3", "--k", "-1"),
+        ("fueter", "--n", "3", "--k", "-1"),
+        ("verify", "theorem1", "--n", "3", "--kmax", "-1"),
+        ("verify", "monogenic", "--n", "5", "--kmax", "-2"),
+        ("verify", "recurrence", "--n", "3", "--K", "-1"),
+        ("verify", "closed-form", "--n", "3", "--M", "-1"),
+        ("compare", "--n", "3", "--K", "-1"),
+        ("eval", "--n", "3", "--series", "exp", "--point", "0,1,0,0", "--K", "-1"),
+    ],
+)
+def test_negative_sizes_are_user_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be nonnegative" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_coefficient_file_division_by_zero_names_the_line(tmp_path, capsys):
+    path = tmp_path / "series.txt"
+    path.write_text("# header\n1\n\n1/0  # broken\n1/2\n")
+    code, out, err = run(capsys, "compare", "--n", "3", "--coeffs", str(path), "--K", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "line 4" in err and "'1/0'" in err
+    assert len(err.splitlines()) == 1

@@ -31,6 +31,15 @@ def test_double_factorial_values():
     assert double_factorial(9) == 945
 
 
+def test_double_factorial_matches_the_stepped_product():
+    for m in range(-1, 80):
+        expected = 1
+        for factor in range(m, 0, -2):
+            expected *= factor
+        assert double_factorial(m) == expected
+        assert type(double_factorial(m)) is int
+
+
 def test_double_factorial_rejects_below_minus_one():
     with pytest.raises(ValueError):
         double_factorial(-2)

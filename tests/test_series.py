@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import cliffex.appell as appell_module
 from cliffex.appell import appell_polynomial
+from cliffex.axial import AxialPolynomial, evaluate
+from cliffex.clifford import Multivector, Paravector
 from cliffex.exact import factorial
 from cliffex.fueter import alpha_monomial, fueter_sce_monomial
 from cliffex.series import (
@@ -84,6 +87,47 @@ def test_appell_extension_examples():
         total = total + F(1, factorial(k)) * appell_polynomial(3, k)
     assert exp4.polynomial == total
     assert exp4.coefficients[3] == (3, F(1, 6))
+
+
+def summed_extension(n, f, K):
+    """sum a_k P_k^n one polynomial at a time, through the public +."""
+    total = AxialPolynomial.zero(n)
+    for k in range(K + 1):
+        a = f.coeff(k)
+        if a:
+            total = total + a * appell_polynomial(n, k)
+    return total
+
+
+def test_appell_extension_matches_the_summed_appell_polynomials():
+    rng = random.Random(23)
+    rational = from_coefficients(
+        "rational", [F(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in range(41)]
+    )
+    specs = [get_series(name) for name in ("exp", "sinh", "cosh", "geometric")] + [rational]
+    for f in specs:
+        for n in (3, 5, 7, 9):
+            for K in (0, 1, 7, 40):
+                got = appell_extension(n, f, K).polynomial
+                want = summed_extension(n, f, K)
+                assert got == want
+                assert list(got.A.terms()) == list(want.A.terms())
+                assert list(got.B.terms()) == list(want.B.terms())
+                x = Paravector(F(-7, 4), tuple(F(rng.randrange(-12, 13), 4) for _ in range(n)))
+                assert evaluate(got, x, mode="float") == evaluate(want, x, mode="float")
+
+
+def test_appell_extension_sees_a_patched_c_coeff(monkeypatch):
+    one = Paravector(F(1), (F(0),) * 3)
+    exp = get_series("exp")
+    before = evaluate(appell_extension(3, exp, 6).polynomial, one)
+    original = appell_module.c_coeff
+    monkeypatch.setattr(
+        appell_module, "c_coeff", lambda n, k: F(2) if k == 0 else original(n, k)
+    )
+    after = evaluate(appell_extension(3, exp, 6).polynomial, one)
+    assert after != before
+    assert before == Multivector.scalar(3, sum(exp.coeff(k) for k in range(7)))
 
 
 def test_recurrence_holds_for_exp_sinh_cosh():
