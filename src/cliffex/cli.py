@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,11 +297,14 @@ _DISPATCH = {
 }
 
 
-def _require_nonnegative(args: argparse.Namespace) -> None:
+def _check_arguments(args: argparse.Namespace) -> None:
     for name in ("k", "kmax", "K", "M"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ValueError("--%s must be nonnegative, got %d" % (name, value))
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("--tolerance must be a finite number > 0, got %r" % (tolerance,))
 
 
 def main(argv=None) -> int:
@@ -308,10 +312,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = _config_from_args(args)
     try:
-        _require_nonnegative(args)
+        _check_arguments(args)
         return _DISPATCH[config.command](config)
     except (ValueError, series.ConvergenceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # float evaluation of an input beyond the double range; args[-1]
+        # is the message also when the error carries an errno
+        print("error: float evaluation overflowed: %s" % exc.args[-1], file=sys.stderr)
         return 2
 
 

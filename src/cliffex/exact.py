@@ -55,11 +55,14 @@ def binomial(k: int, s: int) -> int:
 
 
 def pochhammer(q: Rational | int, l: int) -> Rational:
-    """Rising factorial (q)_l = q (q+1) ... (q+l-1), with (q)_0 = 1."""
+    """Rising factorial (q)_l = q (q+1) ... (q+l-1), with (q)_0 = 1.
+
+    With q = a/b in lowest terms, (q)_l = a (a+b) ... (a+(l-1)b) / b^l:
+    the numerator is one integer product and the result is reduced
+    once, not after each of the l factors.
+    """
     if l < 0:
         raise ValueError("pochhammer requires l >= 0, got %r" % (l,))
-    out = Fraction(1)
     q = Fraction(q)
-    for i in range(l):
-        out *= q + i
-    return out
+    a, b = q.numerator, q.denominator
+    return Fraction(math.prod(range(a, a + l * b, b)), b**l)

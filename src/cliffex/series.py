@@ -18,6 +18,7 @@ the independent oracle throughout.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,10 +201,12 @@ def recurrence_check(n: int, f: SeriesSpec, K: int) -> RecurrenceReport:
                     f.name, n, False, gamma, False, (k, high, Fraction(0)), K
                 )
             continue
+        # (k+step)!/k! as one integer product: no gcd of two factorials
+        rise = math.prod(range(k + 1, k + step + 1))
         if gamma is None:
-            gamma = high * Fraction(factorial(k + step), factorial(k)) / low
+            gamma = high * rise / low
             continue
-        expected = gamma * Fraction(factorial(k), factorial(k + step)) * low
+        expected = gamma * low / rise
         if high != expected:
             return RecurrenceReport(
                 f.name, n, False, gamma, False, (k, high, expected), K
@@ -271,7 +274,7 @@ def iterate_recurrence(params: ClassParameters, M: int) -> list:
         coeffs[r] = params.initial[r]
     for k in range(M + 1 - step):
         coeffs[k + step] = (
-            params.gamma * Fraction(factorial(k), factorial(k + step)) * coeffs[k]
+            params.gamma * coeffs[k] / math.prod(range(k + 1, k + step + 1))
         )
     return coeffs
 
@@ -304,14 +307,19 @@ def solve_recurrence_shifted(params: ClassParameters, M: int) -> list:
 
 def _hyper_cap(l_max: Optional[int]) -> int:
     if l_max is not None:
+        if l_max < 0:
+            raise ValueError("l_max must be nonnegative, got %r" % (l_max,))
         return l_max
     env = os.environ.get("CLIFFEX_LMAX")
     if env is None:
         return DEFAULT_L_MAX
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise ValueError("CLIFFEX_LMAX must be an integer, got %r" % (env,))
+    if cap < 0:
+        raise ValueError("CLIFFEX_LMAX must be nonnegative, got %r" % (env,))
+    return cap
 
 
 def _check_lower_parameters(lower) -> None:
@@ -375,17 +383,24 @@ def closed_form_coefficient(params: ClassParameters, m: int) -> Fraction:
     Goes through the Pochhammer products of the lower parameters
     (r+1)/(n-1) .. (r+n-1)/(n-1) rather than the factorial ratio, so it
     is an independent route to the same number as solve_recurrence.
+    The weight a_r gamma^l (1)_l / (prod_s ((r+s)/(n-1))_l l!
+    (n-1)^(l(n-1))) is multiplied out as one integer numerator and one
+    integer denominator and reduced once.
     """
     if m < 0:
         raise ValueError("m must be nonnegative, got %r" % (m,))
     n = params.n
     l, r = divmod(m, n - 1)
-    denominator = Fraction(1)
+    a_r, gamma = params.initial[r], params.gamma
+    rising = pochhammer(1, l)
+    num = a_r.numerator * gamma.numerator**l * rising.numerator
+    den = a_r.denominator * gamma.denominator**l * rising.denominator
+    den *= factorial(l) * (n - 1) ** (l * (n - 1))
     for s in range(1, n):
-        denominator *= pochhammer(Fraction(r + s, n - 1), l)
-    weight = pochhammer(Fraction(1), l) / (denominator * factorial(l))
-    scale = Fraction(n - 1) ** (l * (n - 1))
-    return params.initial[r] * params.gamma**l * weight / scale
+        lower = pochhammer(Fraction(r + s, n - 1), l)
+        num *= lower.denominator
+        den *= lower.numerator
+    return Fraction(num, den)
 
 
 def closed_form_eval(

@@ -213,3 +213,47 @@ def test_coefficient_file_division_by_zero_names_the_line(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and "line 4" in err and "'1/0'" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--n", "3", "--series", "exp", "--point", "1e400,0,0,0"),
+        ("eval", "--n", "3", "--series", "exp", "--point", "0,0,1e400,0"),
+        ("eval", "--n", "3", "--series", "exp", "--point", "1e200,0,0,0"),
+        ("eval", "--n", "3", "--closed-form", "--gamma", "1", "--init", "1,1", "--z", "1e400"),
+    ],
+)
+def test_overflowing_float_evaluation_is_a_user_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: float evaluation overflowed")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--n", "3", "--closed-form", "--gamma", "1", "--init", "1,1", "--z", "1"),
+        ("eval", "--n", "3", "--series", "exp", "--point", "0,1,0,0"),
+        ("verify", "closed-form", "--n", "3", "--M", "10"),
+    ],
+)
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tolerance):
+    code, out, err = run(capsys, *argv, "--tolerance=" + tolerance)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tolerance must be a finite number > 0")
+    assert len(err.splitlines()) == 1
+
+
+def test_negative_lmax_environment_variable_is_a_user_error(capsys, monkeypatch):
+    monkeypatch.setenv("CLIFFEX_LMAX", "-3")
+    code, out, err = run(
+        capsys, "eval", "--n", "3", "--closed-form", "--gamma", "1", "--init", "1,1", "--z", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: CLIFFEX_LMAX must be nonnegative, got '-3'\n"

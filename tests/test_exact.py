@@ -70,6 +70,20 @@ def test_pochhammer_rational_base():
     assert pochhammer(Fraction(2, 3), 0) == 1
 
 
+def test_pochhammer_matches_the_stepped_fraction_product():
+    # integer bases (b = 1), negative bases and products through zero
+    for a in range(-7, 8):
+        for b in range(1, 6):
+            q = Fraction(a, b)
+            expected = Fraction(1)
+            for l in range(41):
+                assert pochhammer(q, l) == expected, (q, l)
+                expected *= q + l
+    assert pochhammer(Fraction(5, 3), 0) == Fraction(1)
+    assert type(pochhammer(Fraction(5, 3), 0)) is Fraction
+    assert type(pochhammer(3, 2)) is Fraction
+
+
 def test_pochhammer_rejects_negative_length():
     with pytest.raises(ValueError):
         pochhammer(Fraction(1), -1)

@@ -167,6 +167,41 @@ def test_recurrence_requires_enough_coefficients():
         recurrence_check(5, get_series("exp"), 3)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_recurrence_check_verdicts_across_dimensions(n):
+    step = n - 1
+    exp = recurrence_check(n, get_series("exp"), 120)
+    assert (exp.holds, exp.gamma, exp.first_violation) == (True, 1, None)
+    # geometric: gamma anchors at (n-1)!, the pair at k=1 demands 1/n
+    geo = recurrence_check(n, get_series("geometric"), 120)
+    assert (geo.holds, geo.gamma) == (False, factorial(step))
+    assert geo.first_violation == (1, 1, F(1, n))
+    # zero prefix: only a_(n-2) is a nonzero initial coefficient
+    params = ClassParameters(n, F(-3, 7), (0,) * (step - 1) + (F(5, 2),))
+    member = solve_recurrence(params, 120)
+    report = recurrence_check(n, from_coefficients("late", member), 120)
+    assert (report.holds, report.gamma, report.first_violation) == (True, F(-3, 7), None)
+    k = 3 * step + step - 1
+    broken = list(member)
+    broken[k + step] += 1
+    report = recurrence_check(n, from_coefficients("late-broken", broken), 120)
+    assert not report.holds
+    assert report.first_violation == (k, member[k + step] + 1, member[k + step])
+    # a nonzero coefficient above a zero one breaks before gamma is known
+    report = recurrence_check(n, from_coefficients("late", [0] * step + [2]), 40)
+    assert (report.holds, report.gamma, report.first_violation) == (False, None, (0, 2, 0))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("gamma", [F(1), F(-3, 7), F(0), F(5, 2)])
+def test_three_closed_form_routes_agree_at_m_240(n, gamma):
+    initial = tuple(F((-1) ** r * (2 + r), 3 + r) for r in range(n - 1))
+    params = ClassParameters(n, gamma, initial)
+    iterated = iterate_recurrence(params, 240)
+    assert solve_recurrence(params, 240) == iterated
+    assert [closed_form_coefficient(params, m) for m in range(241)] == iterated
+
+
 def test_solve_recurrence_reproduces_exp():
     params = ClassParameters(3, F(1), (F(1), F(1)))
     assert solve_recurrence(params, 6) == [F(1, factorial(k)) for k in range(7)]
@@ -241,6 +276,18 @@ def test_hypergeometric_convergence_cap(monkeypatch):
     monkeypatch.setenv("CLIFFEX_LMAX", "four")
     with pytest.raises(ValueError):
         hypergeometric_1f(F(1), [F(1)], 10.0)
+
+
+def test_hypergeometric_rejects_a_negative_cap(monkeypatch):
+    with pytest.raises(ValueError, match="l_max must be nonnegative"):
+        hypergeometric_1f(F(1), [F(1)], 0.5, l_max=-1)
+    monkeypatch.setenv("CLIFFEX_LMAX", "-3")
+    with pytest.raises(ValueError, match="CLIFFEX_LMAX must be nonnegative"):
+        hypergeometric_1f(F(1), [F(1)], 0.5)
+    with pytest.raises(ValueError, match="CLIFFEX_LMAX"):
+        closed_form_eval(exp_params(3), 1)
+    monkeypatch.setenv("CLIFFEX_LMAX", "0")
+    assert hypergeometric_1f(F(1), [F(1)], 0.0) == 1.0
 
 
 def test_closed_form_coefficients_match_solution_orderwise():
