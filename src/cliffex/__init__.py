@@ -12,7 +12,7 @@ All identity-level computation is exact (stdlib fractions); floating
 point appears only in numeric evaluation and convergence checks.
 """
 
-from .appell import appell_polynomial, appell_property_check, c_coeff, c_table
+from .appell import appell_polynomial, appell_property_check, appell_sequence, c_coeff, c_table
 from .axial import (
     AxialPolynomial,
     BivariatePoly,
@@ -95,6 +95,7 @@ __all__ = [
     "appell_extension",
     "appell_polynomial",
     "appell_property_check",
+    "appell_sequence",
     "apply_radial_powers",
     "beta",
     "binomial",

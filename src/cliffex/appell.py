@@ -6,6 +6,12 @@ c_n^k x^k.  Integrating the first from the second forces the explicit
 binomial form used here, and every defining property is re-verified as
 an exact identity by the test suite, so the construction certifies
 itself.
+
+appell_sequence builds P_0 .. P_K together from one c-table, and
+appell_polynomial is its single-row case; appell_combination writes a
+linear combination of the P_k straight into one pair of dicts.  Each
+call reads its c-table afresh through c_coeff: nothing is cached
+between calls, so a patched c_coeff shows in every route.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .axial import AxialPolynomial, BivariatePoly
-from .exact import binomial, double_factorial
+from .exact import double_factorial
 
 
 def c_coeff(n: int, k: int) -> Fraction:
@@ -44,23 +50,57 @@ def c_table(n: int, K: int) -> list[Fraction]:
     return [c_coeff(n, k) for k in range(K + 1)]
 
 
+def _signed_c_table(n: int, K: int) -> list[Fraction]:
+    """(-1)^(s // 2) c_n^s for s = 0..K, the sign of x^s folded into (r, omega)."""
+    return [-c if s & 2 else c for s, c in enumerate(c_table(n, K))]
+
+
+def _appell_row(n: int, k: int, signed_c: list) -> AxialPolynomial:
+    """P_k^n from the signed c-table: (-1)^(s//2) C(k,s) c_n^s at key (k-s, s).
+
+    Even s lands in A, odd s in B.  The binomial is stepped in
+    integers and each coefficient is one Fraction(C(k,s) num, den).
+    """
+    a_terms: dict = {}
+    b_terms: dict = {}
+    binom = 1
+    for s in range(k + 1):
+        c = signed_c[s]
+        if c:
+            (b_terms if s & 1 else a_terms)[(k - s, s)] = Fraction(
+                binom * c.numerator, c.denominator
+            )
+        binom = binom * (k - s) // (s + 1)
+    return AxialPolynomial(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
+
+
+def _require_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError("%s must be nonnegative, got %r" % (name, value))
+
+
 def appell_polynomial(n: int, k: int) -> AxialPolynomial:
     """P_k^n in axial form.
 
     Expands sum_s C(k,s) c_n^s x0^(k-s) x^s with the vector powers
     folded into (r, omega): x^(2p) = (-1)^p r^(2p) lands in the scalar
-    part, x^(2p+1) = (-1)^p r^(2p+1) omega in the omega part.
+    part, x^(2p+1) = (-1)^p r^(2p+1) omega in the omega part.  This is
+    the single-row case of appell_sequence.
     """
-    a_terms: dict = {}
-    b_terms: dict = {}
-    for s in range(k + 1):
-        weight = binomial(k, s) * c_coeff(n, s)
-        p, odd = divmod(s, 2)
-        signed = -weight if p % 2 else weight
-        target = b_terms if odd else a_terms
-        key = (k - s, s)
-        target[key] = target.get(key, 0) + signed
-    return AxialPolynomial(BivariatePoly(a_terms), BivariatePoly(b_terms), n)
+    _require_nonnegative("k", k)
+    return _appell_row(n, k, _signed_c_table(n, k))
+
+
+def appell_sequence(n: int, K: int) -> list[AxialPolynomial]:
+    """[P_0^n, ..., P_K^n], all built from one c-table read on this call.
+
+    Each P_k is the same row appell_polynomial(n, k) returns, term for
+    term and in the same key order, but the c-table is read through
+    c_coeff K+1 times in all instead of k+1 times per polynomial.
+    """
+    _require_nonnegative("K", K)
+    signed_c = _signed_c_table(n, K)
+    return [_appell_row(n, k, signed_c) for k in range(K + 1)]
 
 
 def appell_combination(n: int, coeffs: Sequence) -> AxialPolynomial:
@@ -74,7 +114,7 @@ def appell_combination(n: int, coeffs: Sequence) -> AxialPolynomial:
     gives the same term order as adding a_k P_k one at a time.  The
     c-table is read through c_coeff on every call.
     """
-    signed_c = [-c if s & 2 else c for s, c in enumerate(c_table(n, len(coeffs) - 1))]
+    signed_c = _signed_c_table(n, len(coeffs) - 1)
     a_terms: dict = {}
     b_terms: dict = {}
     for k, a in enumerate(coeffs):
@@ -99,14 +139,18 @@ class AppellPropertyReport:
     first_failure: int | None = None
 
 
-def appell_property_check(n: int, K: int) -> AppellPropertyReport:
-    """Verify d/dx0 P_k^n = k P_(k-1)^n exactly for k = 1..K."""
+def appell_property_report(polys: Sequence[AxialPolynomial]) -> AppellPropertyReport:
+    """Verify d/dx0 P_k = k P_(k-1) exactly along polys = [P_0^n, ..., P_K^n]."""
+    K = len(polys) - 1
     if K < 1:
         raise ValueError("K must be at least 1, got %r" % (K,))
-    previous = appell_polynomial(n, 0)
+    n = polys[0].n
     for k in range(1, K + 1):
-        current = appell_polynomial(n, k)
-        if current.diff_x0() != k * previous:
+        if polys[k].diff_x0() != k * polys[k - 1]:
             return AppellPropertyReport(n, K, False, first_failure=k)
-        previous = current
     return AppellPropertyReport(n, K, True)
+
+
+def appell_property_check(n: int, K: int) -> AppellPropertyReport:
+    """Verify d/dx0 P_k^n = k P_(k-1)^n exactly for k = 1..K."""
+    return appell_property_report(appell_sequence(n, K))

@@ -244,13 +244,14 @@ def cmd_fueter(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     suite = config.suite
-    kmax = config.kmax
+    # the suites own their default kmax
+    sizes = {} if config.kmax is None else {"kmax": config.kmax}
     if suite == "theorem1":
-        report = verify.verify_theorem1(config.n, 15 if kmax is None else kmax)
+        report = verify.verify_theorem1(config.n, **sizes)
     elif suite == "monogenic":
-        report = verify.verify_monogenic(config.n, 30 if kmax is None else kmax)
+        report = verify.verify_monogenic(config.n, **sizes)
     elif suite == "appell-property":
-        report = verify.verify_appell_property(config.n, 30 if kmax is None else kmax)
+        report = verify.verify_appell_property(config.n, **sizes)
     elif suite == "recurrence":
         report = verify.verify_recurrence(config.n, _resolve_series(config), config.K)
     else:

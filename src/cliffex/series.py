@@ -322,6 +322,11 @@ def _hyper_cap(l_max: Optional[int]) -> int:
     return cap
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be a finite number > 0, got %r" % (tolerance,))
+
+
 def _check_lower_parameters(lower) -> None:
     for b in lower:
         frac = Fraction(b)
@@ -343,7 +348,8 @@ def hypergeometric_1f(
     exact when all inputs are exact.  Otherwise the sum runs until the
     next term drops below tolerance/10, capped at l_max (default 200,
     overridable through the CLIFFEX_LMAX environment variable), and
-    raises ConvergenceError at the cap.
+    raises ConvergenceError at the cap, or ValueError if the partial
+    sum has left the float range (an argument too large for floats).
     """
     _check_lower_parameters(lower)
     if terms is not None:
@@ -358,6 +364,7 @@ def hypergeometric_1f(
                 term = term / (b + l)
             term = term / (l + 1)
         return total
+    _check_tolerance(tolerance)
     cap = _hyper_cap(l_max)
     up = float(upper)
     lows = [float(b) for b in lower]
@@ -371,6 +378,10 @@ def hypergeometric_1f(
             term /= b + l
         if abs(term) < tolerance / 10.0:
             return total + term
+    if not math.isfinite(total + term):
+        raise ValueError(
+            "the 1F_%d sum overflows the float range at argument %g" % (len(lows), arg)
+        )
     raise ConvergenceError(
         "term magnitude still %g after %d terms (tolerance %g)"
         % (abs(term), cap, tolerance)
@@ -413,12 +424,17 @@ def closed_form_eval(
 
     f(z) = sum_{r=0}^{n-2} a_r z^r 1F_{n-1}(1; (r+1)/(n-1), ...,
     (r+n-1)/(n-1); gamma z^(n-1)/(n-1)^(n-1)).  z = 0 short-circuits to
-    the exact a_0; other points are summed in floating point.
+    the exact a_0; other points are summed in floating point.  A z whose
+    1F argument is beyond the float range raises ValueError before any
+    summing.
     """
+    _check_tolerance(tolerance)
     n = params.n
     if z == 0:
         return params.initial[0]
     argument = float(params.gamma) * float(z) ** (n - 1) / float(n - 1) ** (n - 1)
+    if not math.isfinite(argument):
+        raise ValueError("z = %s is beyond the float range: the 1F argument overflows" % (z,))
     total = 0.0
     for r in range(n - 1):
         lower = [Fraction(r + s, n - 1) for s in range(1, n)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polycheck, series
-from .appell import appell_polynomial, appell_property_check
+from .appell import appell_property_report, appell_sequence
 from .axial import evaluate, vekua_residual
 from .clifford import Multivector, Paravector
 from .fueter import fueter_sce_monomial
@@ -35,8 +35,8 @@ def verify_theorem1(n: int, kmax: int = 15) -> SuiteReport:
     """Normalized tau_n[z^(k+n-1)] against P_k^n, plus the vanishing range."""
     report = SuiteReport("theorem1")
     mismatch = None
-    for k in range(kmax + 1):
-        if fueter_sce_monomial(n, k + n - 1) != appell_polynomial(n, k):
+    for k, P in enumerate(appell_sequence(n, kmax)):
+        if fueter_sce_monomial(n, k + n - 1) != P:
             mismatch = k
             break
     report.record(
@@ -56,10 +56,11 @@ def verify_theorem1(n: int, kmax: int = 15) -> SuiteReport:
 def verify_monogenic(n: int, kmax: int = 30, oracle_kmax: int = 8) -> SuiteReport:
     """Vekua residuals of P_k^n, with the expanded-operator oracle at small n."""
     report = SuiteReport("monogenic")
+    polys = appell_sequence(n, max(kmax, oracle_kmax))
     bad = [
         k
         for k in range(kmax + 1)
-        if any(not part.is_zero for part in vekua_residual(appell_polynomial(n, k)))
+        if any(not part.is_zero for part in vekua_residual(polys[k]))
     ]
     report.record(
         not bad,
@@ -70,7 +71,7 @@ def verify_monogenic(n: int, kmax: int = 30, oracle_kmax: int = 8) -> SuiteRepor
         not_monogenic = [
             k
             for k in range(oracle_kmax + 1)
-            if not polycheck.is_monogenic(polycheck.from_axial(appell_polynomial(n, k)))
+            if not polycheck.is_monogenic(polycheck.from_axial(polys[k]))
         ]
         report.record(
             not not_monogenic,
@@ -83,7 +84,8 @@ def verify_monogenic(n: int, kmax: int = 30, oracle_kmax: int = 8) -> SuiteRepor
 def verify_appell_property(n: int, kmax: int = 30) -> SuiteReport:
     """Derivative rule and the value 1 at x = 1."""
     report = SuiteReport("appell-property")
-    prop = appell_property_check(n, kmax)
+    polys = appell_sequence(n, kmax)
+    prop = appell_property_report(polys)
     report.record(
         prop.holds,
         "d/dx0 P_k^%d = k P_(k-1)^%d for k = 1..%d" % (n, n, kmax)
@@ -92,8 +94,8 @@ def verify_appell_property(n: int, kmax: int = 30) -> SuiteReport:
     one = Paravector(Fraction(1), (Fraction(0),) * n)
     unnormalized = [
         k
-        for k in range(kmax + 1)
-        if evaluate(appell_polynomial(n, k), one) != Multivector.scalar(n, Fraction(1))
+        for k, P in enumerate(polys)
+        if evaluate(P, one) != Multivector.scalar(n, Fraction(1))
     ]
     report.record(
         not unnormalized,

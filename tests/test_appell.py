@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from cliffex import verify
 from cliffex.appell import (
     appell_combination,
     appell_polynomial,
     appell_property_check,
+    appell_sequence,
     c_coeff,
     c_table,
 )
 from cliffex.axial import AxialPolynomial, BivariatePoly, evaluate, vekua_residual
 from cliffex.clifford import Multivector, Paravector, paravector_power
+from cliffex.exact import binomial
 
 F = Fraction
 
@@ -130,3 +133,89 @@ def test_mutated_coefficient_breaks_the_construction(monkeypatch):
     assert evaluate(P1, one) != Multivector.scalar(3, F(1))
     first, _ = vekua_residual(P1)
     assert not first.is_zero
+
+
+def _binomial_form(n, k):
+    """P_k^n term by term from the binomial form, through the validating constructors."""
+    a_terms, b_terms = {}, {}
+    for s in range(k + 1):
+        weight = binomial(k, s) * c_coeff(n, s) * (-1) ** (s // 2)
+        (b_terms if s % 2 else a_terms)[(k - s, s)] = weight
+    return AxialPolynomial(BivariatePoly(a_terms), BivariatePoly(b_terms), n)
+
+
+def test_appell_sequence_matches_the_binomial_form_term_for_term():
+    for n in (3, 5, 7, 9):
+        sequence = appell_sequence(n, 90)
+        assert len(sequence) == 91
+        for k, got in enumerate(sequence):
+            for want in (appell_polynomial(n, k), _binomial_form(n, k)):
+                assert got == want, (n, k)
+                assert list(got.A.terms()) == list(want.A.terms())
+                assert list(got.B.terms()) == list(want.B.terms())
+                assert got.n == n
+
+
+def test_appell_sequence_sizes():
+    for n in (3, 5, 7, 9):
+        assert appell_sequence(n, 0) == [AxialPolynomial.constant(1, n)]
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="K must be nonnegative"):
+            appell_sequence(3, bad)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        appell_polynomial(3, -1)
+    for even in (2, 4, 8):
+        with pytest.raises(ValueError, match="n must be odd"):
+            appell_sequence(even, 3)
+        with pytest.raises(ValueError, match="n must be odd"):
+            appell_sequence(even, 0)
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        appell_property_check(3, 0)
+
+
+SUITES = (verify.verify_theorem1, verify.verify_monogenic, verify.verify_appell_property)
+
+
+def test_mutated_coefficient_shows_in_the_sequence_and_every_suite(monkeypatch):
+    import cliffex.appell as appell_module
+
+    original = c_coeff
+    monkeypatch.setattr(
+        appell_module, "c_coeff", lambda n, k: F(2) if k == 0 else original(n, k)
+    )
+    for n in (3, 5):
+        sequence = appell_module.appell_sequence(n, 40)
+        assert sequence[0] == AxialPolynomial.constant(2, n)
+        assert all(P.A.coefficient(k, 0) == 2 for k, P in enumerate(sequence))
+        for suite in SUITES:
+            assert not suite(n, 40).passed, (suite.__name__, n)
+    # a fault deep in the table shows at its own degree
+    monkeypatch.setattr(
+        appell_module, "c_coeff", lambda n, k: F(1, 3) if k == 33 else original(n, k)
+    )
+    report = verify.verify_theorem1(5, 40)
+    assert not report.passed
+    assert report.lines[0].endswith("(first mismatch at k=33)")
+    report = verify.verify_monogenic(5, 40)
+    assert not report.passed
+    assert "nonzero at k=[33, " in report.lines[0]
+
+
+def test_each_identity_suite_reads_the_c_table_once(monkeypatch):
+    # a count, not a timing: rebuilding P_k one at a time reads the
+    # table O(kmax^2) times (1891 / 1936 / 3782 calls here)
+    import cliffex.appell as appell_module
+
+    original = c_coeff
+    calls = []
+
+    def counting(n, k):
+        calls.append(k)
+        return original(n, k)
+
+    monkeypatch.setattr(appell_module, "c_coeff", counting)
+    kmax, oracle_kmax = 60, 8
+    for suite in SUITES:
+        calls.clear()
+        assert suite(5, kmax).passed
+        assert len(calls) <= max(kmax, oracle_kmax) + 1, (suite.__name__, len(calls))

@@ -257,3 +257,51 @@ def test_negative_lmax_environment_variable_is_a_user_error(capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert err == "error: CLIFFEX_LMAX must be nonnegative, got '-3'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--n", "3", "--closed-form", "--gamma", "1", "--init", "1,1", "--z", "1e100"),
+        ("eval", "--n", "3", "--closed-form", "--gamma", "1e300", "--init", "1,1", "--z", "1e10"),
+    ],
+)
+def test_closed_form_z_beyond_the_float_range_is_a_user_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "suite, lines",
+    [
+        (
+            "theorem1",
+            [
+                "ok   tau_5[z^(k+4)] = P_k^5 exactly for k = 0..15",
+                "ok   tau_5[z^k] = 0 for all k < 4",
+            ],
+        ),
+        (
+            "monogenic",
+            [
+                "ok   vekua_residual(P_k^5) = (0, 0) for k = 0..30",
+                "ok   expanded D P_k^5 = 0 (full operator) for k = 0..8",
+            ],
+        ),
+        (
+            "appell-property",
+            [
+                "ok   d/dx0 P_k^5 = k P_(k-1)^5 for k = 1..30",
+                "ok   P_k^5(1) = 1 for k = 0..30",
+            ],
+        ),
+    ],
+)
+def test_verify_without_kmax_uses_the_suite_default(capsys, suite, lines):
+    code, out, err = run(capsys, "verify", suite, "--n", "5")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == lines + ["PASS"]

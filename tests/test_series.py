@@ -322,6 +322,34 @@ def test_exp_decomposition_reports():
     assert at_zero.error == 0.0
 
 
+def test_closed_form_eval_rejects_a_z_beyond_the_float_range():
+    # the 1F terms overflow although the argument 2.5e199 is finite
+    params = ClassParameters(3, F(1), (F(1), F(1)))
+    with pytest.raises(ValueError, match="overflows the float range"):
+        closed_form_eval(params, F(10) ** 100)
+    with pytest.raises(ValueError, match="overflows the float range"):
+        hypergeometric_1f(F(1), [F(1, 2), F(1)], 2.5e199)
+    # gamma z^(n-1) itself is inf: rejected before any summing
+    huge_gamma = ClassParameters(3, F(10) ** 300, (F(1), F(1)))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        closed_form_eval(huge_gamma, F(10) ** 10)
+    assert abs(closed_form_eval(params, F(10)) / math.exp(10) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("tolerance", [0, 0.0, -1, float("nan"), float("inf")])
+def test_library_tolerance_must_be_finite_and_positive(tolerance):
+    match = "tolerance must be a finite number > 0"
+    with pytest.raises(ValueError, match=match):
+        hypergeometric_1f(F(1), [F(1)], 0.5, tolerance=tolerance)
+    for z in (F(1), F(0)):
+        with pytest.raises(ValueError, match=match):
+            closed_form_eval(exp_params(3), z, tolerance=tolerance)
+    with pytest.raises(ValueError, match=match):
+        exp_decomposition_check(3, F(1, 2), tolerance)
+    # the exact partial sum takes no tolerance
+    assert hypergeometric_1f(F(1), [F(1)], F(1, 2), tolerance=tolerance, terms=2) == F(13, 8)
+
+
 def test_default_alpha_values():
     assert default_alpha(3) == -1
     assert default_alpha(5) == 3
