@@ -12,6 +12,13 @@ appell_polynomial is its single-row case; appell_combination writes a
 linear combination of the P_k straight into one pair of dicts.  Each
 call reads its c-table afresh through c_coeff: nothing is cached
 between calls, so a patched c_coeff shows in every route.
+
+The routes work in integers where they can.  A row's coefficient is
+one Fraction(C(k,s) num, den) with the binomial stepped in integers,
+and appell_property_report checks d/dx0 P_k = k P_(k-1) key by key by
+cross-multiplying numerators and denominators, building no derivative
+and no scaled polynomial.  A sequence with a coefficient that is not
+rational (say a float) is compared through diff_x0 and scaling instead.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ def _appell_row(n: int, k: int, signed_c: list) -> AxialPolynomial:
                 binom * c.numerator, c.denominator
             )
         binom = binom * (k - s) // (s + 1)
-    return AxialPolynomial(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
+    return AxialPolynomial._trusted(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
 
 
 def _require_nonnegative(name: str, value: int) -> None:
@@ -126,7 +133,7 @@ def appell_combination(n: int, coeffs: Sequence) -> AxialPolynomial:
             if term:
                 (b_terms if s & 1 else a_terms)[(k - s, s)] = term
             binom = binom * (k - s) // (s + 1)
-    return AxialPolynomial(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
+    return AxialPolynomial._trusted(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,31 @@ class AppellPropertyReport:
     first_failure: int | None = None
 
 
+def _is_scaled_derivative(P: AxialPolynomial, Q: AxialPolynomial, k: int) -> bool:
+    """Whether d/dx0 P == k Q, compared key by key in integers.
+
+    A term c x0^i r^j of P with i > 0 must meet a term d at (i-1, j) of
+    Q in the same part with i c == k d, checked as i c.num d.den ==
+    k d.num c.den; and each part of Q must have exactly as many terms
+    as P has with i > 0.  Coefficients must be rational (int or
+    Fraction), else AttributeError.
+    """
+    if P.n != Q.n:
+        return False
+    for p_terms, q_terms in ((P.A._terms, Q.A._terms), (P.B._terms, Q.B._terms)):
+        matched = 0
+        for (i, j), c in p_terms.items():
+            if not i:
+                continue
+            d = q_terms.get((i - 1, j))
+            if d is None or i * c.numerator * d.denominator != k * d.numerator * c.denominator:
+                return False
+            matched += 1
+        if matched != len(q_terms):
+            return False
+    return True
+
+
 def appell_property_report(polys: Sequence[AxialPolynomial]) -> AppellPropertyReport:
     """Verify d/dx0 P_k = k P_(k-1) exactly along polys = [P_0^n, ..., P_K^n]."""
     K = len(polys) - 1
@@ -146,7 +178,11 @@ def appell_property_report(polys: Sequence[AxialPolynomial]) -> AppellPropertyRe
         raise ValueError("K must be at least 1, got %r" % (K,))
     n = polys[0].n
     for k in range(1, K + 1):
-        if polys[k].diff_x0() != k * polys[k - 1]:
+        try:
+            holds = _is_scaled_derivative(polys[k], polys[k - 1], k)
+        except AttributeError:  # a coefficient that is not rational
+            holds = polys[k].diff_x0() == k * polys[k - 1]
+        if not holds:
             return AppellPropertyReport(n, K, False, first_failure=k)
     return AppellPropertyReport(n, K, True)
 

@@ -9,6 +9,13 @@ parity pair is the canonical representation used throughout.
 The module provides the two radial lowering rules, their (n-1)/2-fold
 application, the Vekua-type residual whose vanishing certifies
 monogenicity, and exact/float point evaluation.
+
+The exact routes that only need a sum or a zero test work in integers:
+vekua_residual and exact evaluate bring the coefficients to one common
+denominator L, accumulate integer numerators, and build a Fraction
+only for a result that survives.  A coefficient that is not rational
+(say a float) sends them back to the composed operators or to plain
+substitution, which give the same values in that arithmetic.
 """
 
 from __future__ import annotations
@@ -117,9 +124,14 @@ class BivariatePoly:
                     key = (ia + ib, ja + jb)
                     out[key] = out.get(key, 0) + ca * cb
             return BivariatePoly(out)
+        if other and isinstance(other, Rational):
+            # an exact nonzero scalar keeps every term nonzero
+            return BivariatePoly._trusted({key: c * other for key, c in self._terms.items()})
         return BivariatePoly({key: c * other for key, c in self._terms.items()})
 
     def __rmul__(self, other):
+        if other and isinstance(other, Rational):
+            return BivariatePoly._trusted({key: other * c for key, c in self._terms.items()})
         return BivariatePoly({key: other * c for key, c in self._terms.items()})
 
     def __eq__(self, other):
@@ -195,6 +207,20 @@ class AxialPolynomial:
         self.n = n
 
     @classmethod
+    def _trusted(cls, A: BivariatePoly, B: BivariatePoly, n: int) -> "AxialPolynomial":
+        """Pair A and B without re-checking n or the parity of every term.
+
+        The caller guarantees that n is odd and > 1, A even in r and B
+        odd in r, as they are by construction for the image of an axial
+        polynomial under an operation that preserves parity.
+        """
+        poly = cls.__new__(cls)
+        poly.A = A
+        poly.B = B
+        poly.n = n
+        return poly
+
+    @classmethod
     def zero(cls, n: int) -> "AxialPolynomial":
         return cls(BivariatePoly.zero(), BivariatePoly.zero(), n)
 
@@ -211,7 +237,7 @@ class AxialPolynomial:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch: %d vs %d" % (self.n, other.n))
-        return AxialPolynomial(self.A + other.A, self.B + other.B, self.n)
+        return AxialPolynomial._trusted(self.A + other.A, self.B + other.B, self.n)
 
     def __sub__(self, other):
         if not isinstance(other, AxialPolynomial):
@@ -219,10 +245,12 @@ class AxialPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        return AxialPolynomial(-self.A, -self.B, self.n)
+        return AxialPolynomial._trusted(-self.A, -self.B, self.n)
 
     def __mul__(self, scalar):
-        return AxialPolynomial(self.A * scalar, self.B * scalar, self.n)
+        # a bivariate factor can change the parity in r, so it is checked
+        build = AxialPolynomial if isinstance(scalar, BivariatePoly) else AxialPolynomial._trusted
+        return build(self.A * scalar, self.B * scalar, self.n)
 
     __rmul__ = __mul__
 
@@ -235,7 +263,7 @@ class AxialPolynomial:
         return hash((self.n, self.A, self.B))
 
     def diff_x0(self) -> "AxialPolynomial":
-        return AxialPolynomial(self.A.diff_x0(), self.B.diff_x0(), self.n)
+        return AxialPolynomial._trusted(self.A.diff_x0(), self.B.diff_x0(), self.n)
 
     def __repr__(self):
         return "AxialPolynomial(A=%r, B=%r, n=%d)" % (self.A, self.B, self.n)
@@ -294,7 +322,7 @@ def apply_radial_powers(uv: Tuple[BivariatePoly, BivariatePoly], n: int) -> Axia
     for _ in range(steps):
         u = radial_lower_even(u)
         v = radial_lower_odd(v)
-    return AxialPolynomial(u, v, n)
+    return AxialPolynomial._trusted(u, v, n)
 
 
 def vekua_residual(F: AxialPolynomial) -> Tuple[BivariatePoly, BivariatePoly]:
@@ -303,12 +331,59 @@ def vekua_residual(F: AxialPolynomial) -> Tuple[BivariatePoly, BivariatePoly]:
     Returns (d_x0 A - d_r B - (n-1) B/r, d_x0 B + d_r A).  The division
     B/r is exact because B is odd in r, so both components are honest
     polynomials and "zero" is decidable.
+
+    Both parts come from one pass over the terms in integers: with L
+    the lcm of the coefficient denominators, a term a x0^i r^j of A adds
+    i a L to (i-1, j) of the first part and j a L to (i, j-1) of the
+    second; a term b x0^i r^j of B adds -(j+n-1) b L to (i, j-1) of the
+    first and i b L to (i-1, j) of the second.  Only a nonzero total t
+    becomes a coefficient, Fraction(t, L), so a monogenic F builds no
+    Fraction at all.  A coefficient that is not rational (say a float)
+    takes the composed operators instead.
     """
     n = F.n
-    quotient = F.B.divide_r() if not F.B.is_zero else BivariatePoly.zero()
-    first = F.A.diff_x0() - F.B.diff_r() - (n - 1) * quotient
-    second = F.B.diff_x0() + F.A.diff_r()
-    return first, second
+    a_terms, b_terms = F.A._terms, F.B._terms
+    L = _common_denominator(a_terms, b_terms)
+    if L is None:
+        quotient = F.B.divide_r() if not F.B.is_zero else BivariatePoly.zero()
+        first = F.A.diff_x0() - F.B.diff_r() - (n - 1) * quotient
+        second = F.B.diff_x0() + F.A.diff_r()
+        return first, second
+    first: dict = {}
+    second: dict = {}
+    for (i, j), c in a_terms.items():
+        a = c.numerator * (L // c.denominator)
+        if i:
+            key = (i - 1, j)
+            first[key] = first.get(key, 0) + i * a
+        if j:
+            key = (i, j - 1)
+            second[key] = second.get(key, 0) + j * a
+    for (i, j), c in b_terms.items():
+        b = c.numerator * (L // c.denominator)
+        key = (i, j - 1)
+        first[key] = first.get(key, 0) - (j + n - 1) * b
+        if i:
+            key = (i - 1, j)
+            second[key] = second.get(key, 0) + i * b
+    return _over(first, L), _over(second, L)
+
+
+def _common_denominator(*term_maps: Mapping) -> int | None:
+    """The lcm of the denominators of every coefficient in term_maps.
+
+    None when some coefficient is not rational (a float, say), so the
+    caller can take its plain route instead; 1 when there are none.
+    """
+    try:
+        return math.lcm(*{c.denominator for terms in term_maps for c in terms.values()})
+    except (AttributeError, TypeError):  # a coefficient that is not rational
+        return None
+
+
+def _over(numerators: dict, L: int) -> BivariatePoly:
+    """The polynomial with coefficients t / L, leaving out every t that is 0."""
+    return BivariatePoly._trusted({key: Fraction(t, L) for key, t in numerators.items() if t})
 
 
 def evaluate(F: AxialPolynomial, x: Paravector, mode: str = "exact") -> Multivector:
@@ -362,13 +437,10 @@ def _even_sum(p: BivariatePoly, x0, r_sq):
     float), take plain term-by-term substitution.
     """
     terms = p._terms
-    exact = isinstance(x0, Rational) and isinstance(r_sq, Rational)
-    if exact:
-        try:
-            L = math.lcm(*{c.denominator for c in terms.values()})
-        except (AttributeError, TypeError):  # a coefficient that is not rational
-            exact = False
-    if not exact:
+    L = None
+    if isinstance(x0, Rational) and isinstance(r_sq, Rational):
+        L = _common_denominator(terms)
+    if L is None:
         return sum(c * x0**i * r_sq ** (j >> 1) for (i, j), c in terms.items())
     if not terms:
         return Fraction(0)

@@ -107,11 +107,20 @@ def fueter_sce_monomial(n: int, k: int, normalized: bool = True) -> AxialPolynom
     and y -> r.  Degrees k < n-1 come back as the zero polynomial,
     which is a value, not an error.  With normalization the result for
     k >= n-1 takes the value 1 at x = 1.
+
+    The lowered coefficients c are integers, so with alpha = p/q each
+    normalized coefficient is built once, as Fraction(p c, q).
     """
     split = monomial_split(k)
     result = apply_radial_powers((split.u, split.v), n)
     if normalized and k >= n - 1:
-        result = alpha_monomial(n, k) * result
+        alpha = alpha_monomial(n, k)
+        p, q = alpha.numerator, alpha.denominator
+
+        def scaled(part: BivariatePoly) -> BivariatePoly:
+            return BivariatePoly._trusted({key: Fraction(p * c, q) for key, c in part.terms()})
+
+        result = AxialPolynomial._trusted(scaled(result.A), scaled(result.B), n)
     return result
 
 

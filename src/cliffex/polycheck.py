@@ -7,14 +7,23 @@ D = d/dx0 + sum_i e_i d/dx_i from the left, and ask whether everything
 cancels.  Term counts grow quickly, so this is a desk-scale check
 (intended for n up to 5 and degrees up to about 8); the axial residual
 covers the high-degree sweeps.
+
+is_monogenic asks only whether D P vanishes, so it works in integers:
+D is linear, so it first scales P by the lcm L of its coefficient
+denominators, then applies e_i to each blade through its sign
+(_blade_sign) instead of a general Multivector product, and sums
+integers.  A coefficient that is not rational (say a float) takes
+cauchy_riemann_apply instead.  Either way the check runs on the
+expanded coordinates and uses none of the axial operators.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence, Tuple
 
 from .axial import AxialPolynomial
-from .clifford import Multivector
+from .clifford import Multivector, _blade_sign
 
 
 class CliffordPolynomial:
@@ -149,5 +158,27 @@ def cauchy_riemann_apply(P: CliffordPolynomial) -> CliffordPolynomial:
 
 
 def is_monogenic(P: CliffordPolynomial) -> bool:
-    """True exactly when D P is the zero polynomial."""
-    return cauchy_riemann_apply(P).is_zero
+    """True exactly when D P is the zero polynomial.
+
+    D (L P) = L D P, so with L the lcm of the coefficient denominators
+    the sum runs over the integers c L: the d/dx0 term adds expo[0] c L
+    at the same blade, and e_i d/dx_i adds expo[i] c L with the sign
+    of e_i times that blade at the blade mask ^ (1 << (i-1)).
+    """
+    try:
+        L = math.lcm(*{c.denominator for _, mv in P.terms() for _, c in mv.items()})
+    except (AttributeError, TypeError):  # a coefficient that is not rational
+        return cauchy_riemann_apply(P).is_zero
+    out: dict = {}
+    for expo, mv in P.terms():
+        blades = [(mask, c.numerator * (L // c.denominator)) for mask, c in mv.items()]
+        for i, power in enumerate(expo):
+            if not power:
+                continue
+            lowered = expo[:i] + (power - 1,) + expo[i + 1 :]
+            gen = 1 << (i - 1) if i else 0
+            for mask, c in blades:
+                key = (lowered, mask ^ gen)
+                sign = _blade_sign(gen, mask) if gen else 1
+                out[key] = out.get(key, 0) + sign * power * c
+    return not any(out.values())

@@ -55,6 +55,9 @@ def verify_theorem1(n: int, kmax: int = 15) -> SuiteReport:
 
 def verify_monogenic(n: int, kmax: int = 30, oracle_kmax: int = 8) -> SuiteReport:
     """Vekua residuals of P_k^n, with the expanded-operator oracle at small n."""
+    for name, value in (("kmax", kmax), ("oracle_kmax", oracle_kmax)):
+        if value < 0:
+            raise ValueError("%s must be nonnegative, got %r" % (name, value))
     report = SuiteReport("monogenic")
     polys = appell_sequence(n, max(kmax, oracle_kmax))
     bad = [
@@ -82,7 +85,13 @@ def verify_monogenic(n: int, kmax: int = 30, oracle_kmax: int = 8) -> SuiteRepor
 
 
 def verify_appell_property(n: int, kmax: int = 30) -> SuiteReport:
-    """Derivative rule and the value 1 at x = 1."""
+    """Derivative rule and the value 1 at x = 1.
+
+    This suite pins only c_n^0 of the c-table: the derivative rule holds
+    for P_k built from any c-table, and P_k(1) reads only c_n^0.  A
+    fault deeper in the table (c_n^s, s >= 1) passes here; theorem1 and
+    monogenic are the suites that catch it.
+    """
     report = SuiteReport("appell-property")
     polys = appell_sequence(n, kmax)
     prop = appell_property_report(polys)

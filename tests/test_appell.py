@@ -176,6 +176,19 @@ def test_appell_sequence_sizes():
 SUITES = (verify.verify_theorem1, verify.verify_monogenic, verify.verify_appell_property)
 
 
+def test_identity_suites_reject_a_negative_size():
+    for suite in SUITES:
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            suite(3, -1)
+    with pytest.raises(ValueError, match="kmax must be nonnegative"):
+        verify.verify_monogenic(3, -1, oracle_kmax=0)
+    for n in (3, 7):  # the oracle runs at n <= 5 only, the argument is checked always
+        with pytest.raises(ValueError, match="oracle_kmax must be nonnegative"):
+            verify.verify_monogenic(n, 5, oracle_kmax=-1)
+    report = verify.verify_monogenic(3, 0, oracle_kmax=0)
+    assert report.passed and report.lines[0].endswith("for k = 0..0")
+
+
 def test_mutated_coefficient_shows_in_the_sequence_and_every_suite(monkeypatch):
     import cliffex.appell as appell_module
 

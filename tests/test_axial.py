@@ -92,6 +92,30 @@ def test_parity_invariants_enforced_by_constructor():
         AxialPolynomial(BivariatePoly.zero(), poly({(0, 2): 1}), 3)
 
 
+def test_public_constructor_checks_every_term_and_trusted_results_agree():
+    a, b = poly({(2, 0): 1, (0, 2): Fraction(1, 3)}), poly({(1, 1): 2, (0, 3): -1})
+    with pytest.raises(ValueError, match="scalar part has a term with odd r-degree"):
+        AxialPolynomial(poly({(2, 0): 1, (0, 2): 1, (1, 1): 1}), b, 3)
+    with pytest.raises(ValueError, match="omega part has a term with even r-degree"):
+        AxialPolynomial(a, poly({(1, 1): 1, (0, 3): 1, (2, 2): 1}), 5)
+    with pytest.raises(ValueError, match="n must be odd"):
+        AxialPolynomial(a, b, 4)
+    G = AxialPolynomial(a, b, 3)
+    trusted = [G + G, -G, G - G, G * Fraction(2, 3), Fraction(-2, 3) * G, G * 0, G * 0.5,
+               G.diff_x0(), apply_radial_powers((a, b), 3)]
+    for H in trusted:
+        assert H == AxialPolynomial(H.A, H.B, H.n)
+    # a bivariate factor can break parity and is still checked
+    with pytest.raises(ValueError, match="odd r-degree"):
+        G * poly({(0, 1): 1})
+    r_sq = poly({(0, 2): 1})
+    assert G * r_sq == AxialPolynomial(a * r_sq, b * r_sq, 3)
+    # scaling never stores a zero coefficient, even when a float product underflows
+    assert (poly({(1, 0): 1e-200}) * 1e-200).is_zero
+    assert (poly({(1, 0): 3}) * 0).is_zero and (Fraction(0) * poly({(1, 0): 3})).is_zero
+    assert 2 * poly({(1, 0): Fraction(1, 2)}) == poly({(1, 0): 1})
+
+
 def test_vekua_residual_of_constants():
     F = AxialPolynomial.constant(1, 3)
     first, second = vekua_residual(F)
