@@ -29,16 +29,15 @@ from .clifford import (
     Paravector,
     UnitDirection,
     conjugate,
-    geometric_product,
-    omega,
     paravector_power,
 )
-from .exact import Rational, binomial, double_factorial, factorial, pochhammer
+from .exact import binomial, double_factorial, factorial, pochhammer
 from .fueter import (
     BetaTerm,
     MonomialSplit,
     alpha_monomial,
     beta,
+    default_alpha,
     fueter_sce_monomial,
     fueter_sce_series,
     monomial_split,
@@ -60,7 +59,6 @@ from .series import (
     closed_form_coefficient,
     closed_form_eval,
     compare_extensions,
-    default_alpha,
     exp_decomposition_check,
     exp_params,
     from_coefficients,
@@ -87,7 +85,6 @@ __all__ = [
     "MonomialSplit",
     "Multivector",
     "Paravector",
-    "Rational",
     "RecurrenceReport",
     "SeriesSpec",
     "UnitDirection",
@@ -117,14 +114,12 @@ __all__ = [
     "from_coefficients",
     "fueter_sce_monomial",
     "fueter_sce_series",
-    "geometric_product",
     "get_series",
     "hypergeometric_1f",
     "is_monogenic",
     "iterate_recurrence",
     "monomial",
     "monomial_split",
-    "omega",
     "paravector_power",
     "pochhammer",
     "radial_lower_even",

@@ -17,8 +17,8 @@ The routes work in integers where they can.  A row's coefficient is
 one Fraction(C(k,s) num, den) with the binomial stepped in integers,
 and appell_property_report checks d/dx0 P_k = k P_(k-1) key by key by
 cross-multiplying numerators and denominators, building no derivative
-and no scaled polynomial.  A sequence with a coefficient that is not
-rational (say a float) is compared through diff_x0 and scaling instead.
+and no scaled polynomial.  Coefficients are int or Fraction by the
+axial policy, so every one of them has a numerator and a denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .axial import AxialPolynomial, BivariatePoly
-from .exact import double_factorial
+from .exact import double_factorial, require_odd_dimension
 
 
 def c_coeff(n: int, k: int) -> Fraction:
@@ -37,8 +37,7 @@ def c_coeff(n: int, k: int) -> Fraction:
     Even k: (k-1)!!(n-2)!!/(n+k-2)!!.  Odd k: k!!(n-2)!!/(n+k-1)!!.
     Both use the 0!! = (-1)!! = 1 convention, so c_n^0 = 1.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd (> 1), got %r" % (n,))
+    require_odd_dimension(n)
     if k < 0:
         raise ValueError("k must be nonnegative, got %r" % (k,))
     if k % 2 == 0:
@@ -152,8 +151,7 @@ def _is_scaled_derivative(P: AxialPolynomial, Q: AxialPolynomial, k: int) -> boo
     A term c x0^i r^j of P with i > 0 must meet a term d at (i-1, j) of
     Q in the same part with i c == k d, checked as i c.num d.den ==
     k d.num c.den; and each part of Q must have exactly as many terms
-    as P has with i > 0.  Coefficients must be rational (int or
-    Fraction), else AttributeError.
+    as P has with i > 0.
     """
     if P.n != Q.n:
         return False
@@ -178,11 +176,7 @@ def appell_property_report(polys: Sequence[AxialPolynomial]) -> AppellPropertyRe
         raise ValueError("K must be at least 1, got %r" % (K,))
     n = polys[0].n
     for k in range(1, K + 1):
-        try:
-            holds = _is_scaled_derivative(polys[k], polys[k - 1], k)
-        except AttributeError:  # a coefficient that is not rational
-            holds = polys[k].diff_x0() == k * polys[k - 1]
-        if not holds:
+        if not _is_scaled_derivative(polys[k], polys[k - 1], k):
             return AppellPropertyReport(n, K, False, first_failure=k)
     return AppellPropertyReport(n, K, True)
 

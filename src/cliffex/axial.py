@@ -10,12 +10,14 @@ The module provides the two radial lowering rules, their (n-1)/2-fold
 application, the Vekua-type residual whose vanishing certifies
 monogenicity, and exact/float point evaluation.
 
-The exact routes that only need a sum or a zero test work in integers:
-vekua_residual and exact evaluate bring the coefficients to one common
-denominator L, accumulate integer numerators, and build a Fraction
-only for a result that survives.  A coefficient that is not rational
-(say a float) sends them back to the composed operators or to plain
-substitution, which give the same values in that arithmetic.
+Coefficients are rational: int or Fraction.  The public BivariatePoly
+constructor and scalar multiplication raise TypeError for anything
+else (a float, say), so every coefficient has a numerator and a
+denominator.  The exact routes that only need a sum or a zero test use
+that: vekua_residual and exact evaluate bring the coefficients to one
+common denominator L, accumulate integer numerators, and build a
+Fraction only for a result that survives.  Float evaluation converts
+at the point, never in the coefficients.
 """
 
 from __future__ import annotations
@@ -23,21 +25,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from .clifford import Multivector, Paravector
+from .exact import require_odd_dimension
 
 
-def _require_odd_dimension(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd (> 1), got %r" % (n,))
+def _require_rational(c) -> None:
+    if not isinstance(c, Rational):
+        raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
 
 
 class BivariatePoly:
     """Polynomial in (x0, r) with exact rational coefficients.
 
-    Terms map exponent pairs (i, j) to coefficients; zero coefficients
-    are never stored.  Instances are immutable.
+    Terms map exponent pairs (i, j) to int or Fraction coefficients;
+    anything else raises TypeError.  Zero coefficients are never
+    stored.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -48,6 +52,7 @@ class BivariatePoly:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent in term (%r, %r)" % (i, j))
+                _require_rational(c)
                 if c:
                     clean[(i, j)] = c
         self._terms = clean
@@ -124,15 +129,13 @@ class BivariatePoly:
                     key = (ia + ib, ja + jb)
                     out[key] = out.get(key, 0) + ca * cb
             return BivariatePoly(out)
-        if other and isinstance(other, Rational):
-            # an exact nonzero scalar keeps every term nonzero
-            return BivariatePoly._trusted({key: c * other for key, c in self._terms.items()})
-        return BivariatePoly({key: c * other for key, c in self._terms.items()})
+        _require_rational(other)
+        if not other:
+            return BivariatePoly._trusted({})
+        # a nonzero rational scalar keeps every term nonzero
+        return BivariatePoly._trusted({key: c * other for key, c in self._terms.items()})
 
-    def __rmul__(self, other):
-        if other and isinstance(other, Rational):
-            return BivariatePoly._trusted({key: other * c for key, c in self._terms.items()})
-        return BivariatePoly({key: other * c for key, c in self._terms.items()})
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -197,7 +200,7 @@ class AxialPolynomial:
     __slots__ = ("A", "B", "n")
 
     def __init__(self, A: BivariatePoly, B: BivariatePoly, n: int):
-        _require_odd_dimension(n)
+        require_odd_dimension(n)
         if not A.is_even_in_r():
             raise ValueError("scalar part has a term with odd r-degree")
         if not B.is_odd_in_r():
@@ -316,7 +319,7 @@ def apply_radial_powers(uv: Tuple[BivariatePoly, BivariatePoly], n: int) -> Axia
     Annihilated input is a legitimate outcome and comes back as the
     zero polynomial, not an error.
     """
-    _require_odd_dimension(n)
+    require_odd_dimension(n)
     u, v = uv
     steps = (n - 1) // 2
     for _ in range(steps):
@@ -338,17 +341,11 @@ def vekua_residual(F: AxialPolynomial) -> Tuple[BivariatePoly, BivariatePoly]:
     second; a term b x0^i r^j of B adds -(j+n-1) b L to (i, j-1) of the
     first and i b L to (i-1, j) of the second.  Only a nonzero total t
     becomes a coefficient, Fraction(t, L), so a monogenic F builds no
-    Fraction at all.  A coefficient that is not rational (say a float)
-    takes the composed operators instead.
+    Fraction at all.
     """
     n = F.n
     a_terms, b_terms = F.A._terms, F.B._terms
     L = _common_denominator(a_terms, b_terms)
-    if L is None:
-        quotient = F.B.divide_r() if not F.B.is_zero else BivariatePoly.zero()
-        first = F.A.diff_x0() - F.B.diff_r() - (n - 1) * quotient
-        second = F.B.diff_x0() + F.A.diff_r()
-        return first, second
     first: dict = {}
     second: dict = {}
     for (i, j), c in a_terms.items():
@@ -369,16 +366,9 @@ def vekua_residual(F: AxialPolynomial) -> Tuple[BivariatePoly, BivariatePoly]:
     return _over(first, L), _over(second, L)
 
 
-def _common_denominator(*term_maps: Mapping) -> int | None:
-    """The lcm of the denominators of every coefficient in term_maps.
-
-    None when some coefficient is not rational (a float, say), so the
-    caller can take its plain route instead; 1 when there are none.
-    """
-    try:
-        return math.lcm(*{c.denominator for terms in term_maps for c in terms.values()})
-    except (AttributeError, TypeError):  # a coefficient that is not rational
-        return None
+def _common_denominator(*term_maps: Mapping) -> int:
+    """The lcm of the denominators of every coefficient in term_maps; 1 when there are none."""
+    return math.lcm(*{c.denominator for terms in term_maps for c in terms.values()})
 
 
 def _over(numerators: dict, L: int) -> BivariatePoly:
@@ -432,18 +422,15 @@ def _even_sum(p: BivariatePoly, x0, r_sq):
     coefficient denominators, every term times L b^D v^M (D, M the
     largest exponents) is an integer: the sum is accumulated in
     integers, grouped by r-exponent so each term costs one big
-    multiply, and reduced to a Fraction once at the end.  Other points,
-    and polynomials with a coefficient that is not rational (say a
-    float), take plain term-by-term substitution.
+    multiply, and reduced to a Fraction once at the end.  A point that
+    is not rational (say a float) takes plain term-by-term substitution.
     """
     terms = p._terms
-    L = None
-    if isinstance(x0, Rational) and isinstance(r_sq, Rational):
-        L = _common_denominator(terms)
-    if L is None:
+    if not (isinstance(x0, Rational) and isinstance(r_sq, Rational)):
         return sum(c * x0**i * r_sq ** (j >> 1) for (i, j), c in terms.items())
     if not terms:
         return Fraction(0)
+    L = _common_denominator(terms)
     x0, r_sq = Fraction(x0), Fraction(r_sq)
     a, b = x0.numerator, x0.denominator
     u, v = r_sq.numerator, r_sq.denominator
@@ -477,7 +464,7 @@ def _monomial_text(coeff, i: int, j: int, omega_part: bool) -> str:
         pieces.append("r" if j == 1 else "r^%d" % j)
     if omega_part:
         pieces.append("w")
-    mag = format_rational(abs(coeff) if not isinstance(coeff, float) else abs(coeff))
+    mag = format_rational(abs(coeff))
     if not pieces:
         return mag
     if mag != "1":

@@ -16,9 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from . import series, verify
 from .appell import appell_polynomial, c_table
@@ -27,29 +26,6 @@ from .clifford import Paravector
 from .fueter import alpha_monomial, fueter_sce_monomial
 
 SUITES = ("theorem1", "monogenic", "appell-property", "recurrence", "closed-form")
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from argparse."""
-
-    command: str
-    n: int = 3
-    k: int = 0
-    kmax: Optional[int] = None
-    K: int = series.DEFAULT_K
-    M: int = series.DEFAULT_K
-    series_name: Optional[str] = None
-    coeff_file: Optional[str] = None
-    fmt: str = "text"
-    tolerance: float = series.DEFAULT_TOLERANCE
-    raw: bool = False
-    suite: Optional[str] = None
-    closed_form: bool = False
-    gamma: Optional[Fraction] = None
-    init: Optional[Tuple[Fraction, ...]] = None
-    z: Optional[Fraction] = None
-    point: Optional[Tuple[Fraction, ...]] = None
 
 
 def _odd_dimension(text: str) -> int:
@@ -112,10 +88,12 @@ def read_coefficient_file(path: str) -> series.SeriesSpec:
     return series.from_coefficients(path, values)
 
 
-def _resolve_series(config: RunConfig) -> series.SeriesSpec:
-    if config.coeff_file:
-        return read_coefficient_file(config.coeff_file)
-    return series.get_series(config.series_name or "exp")
+def _resolve_series(args: argparse.Namespace) -> series.SeriesSpec:
+    # eval has no --coeffs option
+    coeff_file = getattr(args, "coeffs", None)
+    if coeff_file:
+        return read_coefficient_file(coeff_file)
+    return series.get_series(args.series or "exp")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,35 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in (
-        "n", "k", "K", "M", "tolerance", "raw", "suite", "gamma", "init", "z", "point",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "kmax", None) is not None:
-        config.kmax = args.kmax
-    if getattr(args, "format", None):
-        config.fmt = args.format
-    if getattr(args, "series", None):
-        config.series_name = args.series
-    if getattr(args, "coeffs", None):
-        config.coeff_file = args.coeffs
-    if getattr(args, "closed_form", False):
-        config.closed_form = True
-    return config
-
-
-def cmd_appell(config: RunConfig) -> int:
-    poly = appell_polynomial(config.n, config.k)
-    table = c_table(config.n, config.k)
-    if config.fmt == "json":
+def cmd_appell(args: argparse.Namespace) -> int:
+    poly = appell_polynomial(args.n, args.k)
+    table = c_table(args.n, args.k)
+    if args.format == "json":
         print(
             json.dumps(
                 {
-                    "n": config.n,
-                    "k": config.k,
+                    "n": args.n,
+                    "k": args.k,
                     "text": text_form(poly),
                     "polynomial": poly.to_json_dict(),
                     "c_table": [
@@ -213,17 +171,17 @@ def cmd_appell(config: RunConfig) -> int:
     return 0
 
 
-def cmd_fueter(config: RunConfig) -> int:
-    normalized = not config.raw
-    poly = fueter_sce_monomial(config.n, config.k, normalized=normalized)
-    below = config.k < config.n - 1
-    alpha = alpha_monomial(config.n, config.k) if normalized and not below else None
-    if config.fmt == "json":
+def cmd_fueter(args: argparse.Namespace) -> int:
+    normalized = not args.raw
+    poly = fueter_sce_monomial(args.n, args.k, normalized=normalized)
+    below = args.k < args.n - 1
+    alpha = alpha_monomial(args.n, args.k) if normalized and not below else None
+    if args.format == "json":
         print(
             json.dumps(
                 {
-                    "n": config.n,
-                    "k": config.k,
+                    "n": args.n,
+                    "k": args.k,
                     "normalized": normalized,
                     "text": text_form(poly),
                     "polynomial": poly.to_json_dict(),
@@ -242,49 +200,49 @@ def cmd_fueter(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    suite = config.suite
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite = args.suite
     # the suites own their default kmax
-    sizes = {} if config.kmax is None else {"kmax": config.kmax}
+    sizes = {} if args.kmax is None else {"kmax": args.kmax}
     if suite == "theorem1":
-        report = verify.verify_theorem1(config.n, **sizes)
+        report = verify.verify_theorem1(args.n, **sizes)
     elif suite == "monogenic":
-        report = verify.verify_monogenic(config.n, **sizes)
+        report = verify.verify_monogenic(args.n, **sizes)
     elif suite == "appell-property":
-        report = verify.verify_appell_property(config.n, **sizes)
+        report = verify.verify_appell_property(args.n, **sizes)
     elif suite == "recurrence":
-        report = verify.verify_recurrence(config.n, _resolve_series(config), config.K)
+        report = verify.verify_recurrence(args.n, _resolve_series(args), args.K)
     else:
-        report = verify.verify_closed_form(config.n, config.M, config.tolerance)
+        report = verify.verify_closed_form(args.n, args.M, args.tolerance)
     for line in report.lines:
         print(line)
     print("PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
 
 
-def cmd_compare(config: RunConfig) -> int:
-    report = series.compare_extensions(config.n, _resolve_series(config), config.K)
+def cmd_compare(args: argparse.Namespace) -> int:
+    report = series.compare_extensions(args.n, _resolve_series(args), args.K)
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
 
-def cmd_eval(config: RunConfig) -> int:
-    if config.closed_form:
-        if config.gamma is None or config.init is None or config.z is None:
+def cmd_eval(args: argparse.Namespace) -> int:
+    if args.closed_form:
+        if args.gamma is None or args.init is None or args.z is None:
             raise ValueError("--closed-form needs --gamma, --init and --z")
-        params = series.ClassParameters(config.n, config.gamma, config.init)
-        value = series.closed_form_eval(params, config.z, tolerance=config.tolerance)
+        params = series.ClassParameters(args.n, args.gamma, args.init)
+        value = series.closed_form_eval(params, args.z, tolerance=args.tolerance)
         print(format_rational(value) if isinstance(value, Fraction) else _fmt_float(value))
         return 0
-    if config.point is None:
+    if args.point is None:
         raise ValueError("--series evaluation needs --point x0,x1,..,xn")
-    if len(config.point) != config.n + 1:
+    if len(args.point) != args.n + 1:
         raise ValueError(
-            "point needs n+1 = %d coordinates, got %d" % (config.n + 1, len(config.point))
+            "point needs n+1 = %d coordinates, got %d" % (args.n + 1, len(args.point))
         )
-    spec = _resolve_series(config)
-    extension = series.appell_extension(config.n, spec, config.K)
-    x = Paravector(config.point[0], config.point[1:])
+    spec = _resolve_series(args)
+    extension = series.appell_extension(args.n, spec, args.K)
+    x = Paravector(args.point[0], args.point[1:])
     print(_paravector_text(evaluate(extension.polynomial, x, mode="float")))
     return 0
 
@@ -311,10 +269,9 @@ def _check_arguments(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
         _check_arguments(args)
-        return _DISPATCH[config.command](config)
+        return _DISPATCH[args.command](args)
     except (ValueError, series.ConvergenceError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -3,8 +3,9 @@
 Generators e_1, ..., e_n satisfy e_i e_j + e_j e_i = -2 delta_ij, so
 every generator squares to -1.  A multivector is stored sparsely as a
 map from blade bitmasks to coefficients; bit i-1 of the mask set means
-the blade contains e_i.  Coefficients may be exact Rationals or floats,
-per instantiation; the exact mode is the one every identity check uses.
+the blade contains e_i.  Coefficients may be exact (int or Fraction) or
+floats, per instantiation: float evaluation builds float multivectors,
+and the exact mode is the one every identity check uses.
 
 Values are immutable: all arithmetic returns fresh objects and there is
 no global state, so multivectors can be shared freely across tasks.
@@ -230,10 +231,6 @@ class UnitDirection:
         if not self.norm_sq:
             raise ValueError("zero vector has no direction")
 
-    def square_scalar(self):
-        """The scalar omega^2 = (x x)/|x|^2, always exactly -1."""
-        return -self.norm_sq / self.norm_sq
-
     def exact_unit(self) -> tuple | None:
         """The unit vector as exact Rationals, or None if |x| is irrational."""
         q = Fraction(self.norm_sq)
@@ -250,11 +247,6 @@ class UnitDirection:
 
     def __repr__(self):
         return "UnitDirection(%r, norm_sq=%r)" % (self.vec, self.norm_sq)
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """The Clifford product of two multivectors of equal dimension."""
-    return a * b
 
 
 def conjugate(x: Paravector) -> Paravector:
@@ -275,8 +267,3 @@ def paravector_power(x: Paravector, k: int) -> Multivector:
     for _ in range(k):
         out = out * mv
     return out
-
-
-def omega(vec: Iterable) -> UnitDirection:
-    """Direction of a nonzero vector part.  Raises ValueError on zero."""
-    return UnitDirection(vec)

@@ -1,10 +1,11 @@
 """Exact rational arithmetic and the combinatorial building blocks.
 
-Every coefficient in this package is a :class:`Rational` (an alias for
-``fractions.Fraction``): arbitrary-precision, always in lowest terms,
+Every polynomial coefficient in this package is an ``int`` or a
+``fractions.Fraction``: arbitrary-precision, always in lowest terms,
 never rounded.  The helpers below are the factorial-type functions the
 Appell coefficients, the radial-operator images and the hypergeometric
-term weights are assembled from.
+term weights are assembled from, plus the one check of the dimension n
+that every construction shares.
 
 All values are immutable and all functions are pure, so everything here
 is safe to share between threads or tasks.
@@ -15,15 +16,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
+    "require_odd_dimension",
     "factorial",
     "double_factorial",
     "binomial",
     "pochhammer",
 ]
+
+
+def require_odd_dimension(n: int) -> None:
+    """Raise ValueError unless n is odd and > 1, the dimensions the theory covers."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd (> 1), got %r" % (n,))
 
 
 def factorial(m: int) -> int:
@@ -54,7 +59,7 @@ def binomial(k: int, s: int) -> int:
     return math.comb(k, s)
 
 
-def pochhammer(q: Rational | int, l: int) -> Rational:
+def pochhammer(q: Fraction | int, l: int) -> Fraction:
     """Rising factorial (q)_l = q (q+1) ... (q+l-1), with (q)_0 = 1.
 
     With q = a/b in lowest terms, (q)_l = a (a+b) ... (a+(l-1)b) / b^l:

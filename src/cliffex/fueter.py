@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axial import AxialPolynomial, BivariatePoly, apply_radial_powers
-from .exact import binomial, double_factorial, factorial
+from .exact import binomial, double_factorial, factorial, require_odd_dimension
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def beta(n: int, j: int) -> BetaTerm:
     (odd j).  At r = 0 the surviving even-j value is (n-1)!! exactly
     when 2p = n-1.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd (> 1), got %r" % (n,))
+    require_odd_dimension(n)
     if j < 0:
         raise ValueError("j must be nonnegative, got %r" % (j,))
     p = j // 2
@@ -82,22 +81,29 @@ def beta(n: int, j: int) -> BetaTerm:
     return BetaTerm(n, j, coeff, exponent, False)
 
 
+def _signed_double_factorial(n: int) -> int:
+    """(-1)^((n-1)/2) (n-2)!!, the one normalization sign and size, as an int."""
+    require_odd_dimension(n)
+    return -double_factorial(n - 2) if ((n - 1) // 2) % 2 else double_factorial(n - 2)
+
+
+def default_alpha(n: int) -> Fraction:
+    """(-1)^((n-1)/2) (n-2)!!, the normalization matching gamma = 1."""
+    return Fraction(_signed_double_factorial(n))
+
+
 def alpha_monomial(n: int, k: int) -> Fraction:
     """Normalization constant making tau_n[z^k](1) = 1.
 
     Equals (-1)^((n-1)/2) (n-2)!! (k-n+1)!/k!.  Below the threshold
     k = n-1 the transform is identically zero and no constant exists.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd (> 1), got %r" % (n,))
+    alpha = _signed_double_factorial(n)
     if k < n - 1:
         raise ValueError(
             "no normalization possible: tau_n[z^k] is identically 0 for k < n-1"
         )
-    sign = -1 if ((n - 1) // 2) % 2 else 1
-    return Fraction(
-        sign * double_factorial(n - 2) * factorial(k - n + 1), factorial(k)
-    )
+    return Fraction(alpha * factorial(k - n + 1), factorial(k))
 
 
 def fueter_sce_monomial(n: int, k: int, normalized: bool = True) -> AxialPolynomial:

@@ -12,9 +12,10 @@ is_monogenic asks only whether D P vanishes, so it works in integers:
 D is linear, so it first scales P by the lcm L of its coefficient
 denominators, then applies e_i to each blade through its sign
 (_blade_sign) instead of a general Multivector product, and sums
-integers.  A coefficient that is not rational (say a float) takes
-cauchy_riemann_apply instead.  Either way the check runs on the
-expanded coordinates and uses none of the axial operators.
+integers.  It needs int or Fraction coefficients and raises TypeError
+on any other; cauchy_riemann_apply applies D to any coefficients and
+stays the reference it is tested against.  Both run on the expanded
+coordinates and use none of the axial operators.
 """
 
 from __future__ import annotations
@@ -163,12 +164,13 @@ def is_monogenic(P: CliffordPolynomial) -> bool:
     D (L P) = L D P, so with L the lcm of the coefficient denominators
     the sum runs over the integers c L: the d/dx0 term adds expo[0] c L
     at the same blade, and e_i d/dx_i adds expo[i] c L with the sign
-    of e_i times that blade at the blade mask ^ (1 << (i-1)).
+    of e_i times that blade at the blade mask ^ (1 << (i-1)).  A
+    coefficient that is not int or Fraction raises TypeError.
     """
     try:
         L = math.lcm(*{c.denominator for _, mv in P.terms() for _, c in mv.items()})
-    except (AttributeError, TypeError):  # a coefficient that is not rational
-        return cauchy_riemann_apply(P).is_zero
+    except AttributeError:
+        raise TypeError("is_monogenic needs int or Fraction coefficients") from None
     out: dict = {}
     for expo, mv in P.terms():
         blades = [(mask, c.numerator * (L // c.denominator)) for mask, c in mv.items()]

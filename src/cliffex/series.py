@@ -27,7 +27,8 @@ from typing import Callable, Optional, Sequence, Tuple
 from . import fueter
 from .appell import appell_combination
 from .axial import AxialPolynomial, format_rational
-from .exact import double_factorial, factorial, pochhammer
+from .exact import factorial, pochhammer, require_odd_dimension
+from .fueter import default_alpha
 
 DEFAULT_K = 40
 DEFAULT_TOLERANCE = 1e-12
@@ -38,23 +39,16 @@ class ConvergenceError(Exception):
     """Adaptive summation ran out of terms before reaching tolerance."""
 
 
-def _require_odd_dimension(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd (> 1), got %r" % (n,))
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     """A formal power series given by an exact coefficient generator.
 
-    The generator must be deterministic and side-effect free.  The
-    radius field is purely informational and never consulted: all
-    identity-level work is formal.
+    The generator must be deterministic and side-effect free.  All
+    identity-level work is formal, so no radius of convergence is kept.
     """
 
     name: str
     generator: Callable[[int], Fraction]
-    radius: Optional[float] = None
 
     def coeff(self, k: int) -> Fraction:
         if k < 0:
@@ -74,10 +68,10 @@ def _cosh_coeff(k: int) -> Fraction:
     return Fraction(0) if k % 2 else Fraction(1, factorial(k))
 
 
-EXP = SeriesSpec("exp", _exp_coeff, radius=float("inf"))
-SINH = SeriesSpec("sinh", _sinh_coeff, radius=float("inf"))
-COSH = SeriesSpec("cosh", _cosh_coeff, radius=float("inf"))
-GEOMETRIC = SeriesSpec("geometric", lambda k: Fraction(1), radius=1.0)
+EXP = SeriesSpec("exp", _exp_coeff)
+SINH = SeriesSpec("sinh", _sinh_coeff)
+COSH = SeriesSpec("cosh", _cosh_coeff)
+GEOMETRIC = SeriesSpec("geometric", lambda k: Fraction(1))
 
 BUILTIN_SERIES = {
     "exp": EXP,
@@ -91,21 +85,13 @@ def monomial(m: int) -> SeriesSpec:
     """The single-term series z^m."""
     if m < 0:
         raise ValueError("monomial degree must be nonnegative, got %r" % (m,))
-    return SeriesSpec(
-        "z^%d" % m,
-        lambda k: Fraction(1) if k == m else Fraction(0),
-        radius=float("inf"),
-    )
+    return SeriesSpec("z^%d" % m, lambda k: Fraction(1) if k == m else Fraction(0))
 
 
 def from_coefficients(name: str, coeffs: Sequence) -> SeriesSpec:
     """A finite coefficient list, zero beyond its end."""
     values = tuple(Fraction(c) for c in coeffs)
-    return SeriesSpec(
-        name,
-        lambda k: values[k] if k < len(values) else Fraction(0),
-        radius=float("inf"),
-    )
+    return SeriesSpec(name, lambda k: values[k] if k < len(values) else Fraction(0))
 
 
 def get_series(name: str) -> SeriesSpec:
@@ -140,7 +126,7 @@ def appell_extension(n: int, f: SeriesSpec, K: int) -> TruncatedExtension:
     a_k C(k,s) c_n^s x0^(k-s) x^s over 0 <= s <= k <= K; no P_k is
     built.
     """
-    _require_odd_dimension(n)
+    require_odd_dimension(n)
     if K < 0:
         raise ValueError("K must be nonnegative, got %r" % (K,))
     coeffs = tuple((k, f.coeff(k)) for k in range(K + 1))
@@ -167,16 +153,6 @@ class RecurrenceReport:
     first_violation: Optional[Tuple[int, Fraction, Fraction]]
     checked_up_to: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "series": self.series,
-            "n": self.n,
-            "holds": self.holds,
-            "gamma": None if self.gamma is None else format_rational(self.gamma),
-            "first_violation": _violation_dict(self.first_violation),
-            "coefficients": [],
-        }
-
 
 def _violation_dict(violation):
     if violation is None:
@@ -187,7 +163,7 @@ def _violation_dict(violation):
 
 def recurrence_check(n: int, f: SeriesSpec, K: int) -> RecurrenceReport:
     """Test the recurrence exactly on all index pairs (k, k+n-1), k <= K-(n-1)."""
-    _require_odd_dimension(n)
+    require_odd_dimension(n)
     step = n - 1
     if K < step:
         raise ValueError("K must be at least n-1 = %d, got %r" % (step, K))
@@ -227,7 +203,7 @@ class ClassParameters:
     initial: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        _require_odd_dimension(self.n)
+        require_odd_dimension(self.n)
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         initial = tuple(Fraction(a) for a in self.initial)
         if len(initial) != self.n - 1:
@@ -240,7 +216,7 @@ class ClassParameters:
 
 def exp_params(n: int) -> ClassParameters:
     """The parameters whose solution is the exponential series."""
-    _require_odd_dimension(n)
+    require_odd_dimension(n)
     return ClassParameters(
         n, Fraction(1), tuple(Fraction(1, factorial(r)) for r in range(n - 1))
     )
@@ -445,13 +421,6 @@ def closed_form_eval(
     return total
 
 
-def default_alpha(n: int) -> Fraction:
-    """(-1)^((n-1)/2) (n-2)!!, the normalization matching gamma = 1."""
-    _require_odd_dimension(n)
-    sign = -1 if ((n - 1) // 2) % 2 else 1
-    return Fraction(sign * double_factorial(n - 2))
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     k: int
@@ -509,7 +478,7 @@ def compare_extensions(
     is nonzero; gamma = 0 forces tau to vanish identically, so only the
     zero series is reproduced there.
     """
-    _require_odd_dimension(n)
+    require_odd_dimension(n)
     report = recurrence_check(n, f, K + n - 1)
     if report.holds and report.gamma:
         alpha_used = default_alpha(n) / report.gamma

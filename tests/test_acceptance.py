@@ -8,12 +8,15 @@ two numeric criteria state their tolerances inline.
 
 import contextlib
 import io
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import cliffex
 from cliffex.appell import appell_polynomial, appell_property_check, c_table
 from cliffex.axial import AxialPolynomial, BivariatePoly, apply_radial_powers, evaluate, vekua_residual
 from cliffex.clifford import Multivector, Paravector
@@ -261,6 +264,11 @@ def test_criterion_10_runtime_and_cli_failure_detection(monkeypatch):
     geometric_code = quiet_main(
         ["verify", "recurrence", "--series", "geometric", "--n", "3", "--K", "10"]
     )
+    # the child imports the cliffex under test, wherever the suite runs
+    # from, and must print a FAIL verdict: a child that cannot import
+    # cliffex also exits nonzero
+    src = str(Path(cliffex.__file__).resolve().parents[1])
+    child_path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     subprocess_probe = subprocess.run(
         [
             sys.executable,
@@ -276,7 +284,10 @@ def test_criterion_10_runtime_and_cli_failure_detection(monkeypatch):
             "10",
         ],
         capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=child_path),
     )
+    probe_lines = subprocess_probe.stdout.splitlines()
     import cliffex.appell as appell_module
 
     original = appell_module.c_coeff
@@ -303,7 +314,8 @@ def test_criterion_10_runtime_and_cli_failure_detection(monkeypatch):
         all_green
         and elapsed < 60.0
         and geometric_code != 0
-        and subprocess_probe.returncode != 0
+        and subprocess_probe.returncode == 1
+        and probe_lines[-1:] == ["FAIL"]
         and broken1
         and broken3
         and broken4

@@ -232,3 +232,23 @@ def test_each_identity_suite_reads_the_c_table_once(monkeypatch):
         calls.clear()
         assert suite(5, kmax).passed
         assert len(calls) <= max(kmax, oracle_kmax) + 1, (suite.__name__, len(calls))
+
+
+def test_monogenic_builds_oracle_degrees_only_where_the_oracle_runs(monkeypatch):
+    import cliffex.appell as appell_module
+
+    original = c_coeff
+    calls = []
+
+    def counting(n, k):
+        calls.append(k)
+        return original(n, k)
+
+    monkeypatch.setattr(appell_module, "c_coeff", counting)
+    for n, reads in ((7, 3), (9, 3), (5, 9), (3, 9)):
+        calls.clear()
+        report = verify.verify_monogenic(n, 2)
+        assert len(calls) == reads, (n, len(calls))
+        assert report.passed
+        assert report.lines[0] == "ok   vekua_residual(P_k^%d) = (0, 0) for k = 0..2" % n
+        assert len(report.lines) == (2 if n <= 5 else 1)

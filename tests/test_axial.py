@@ -101,7 +101,7 @@ def test_public_constructor_checks_every_term_and_trusted_results_agree():
     with pytest.raises(ValueError, match="n must be odd"):
         AxialPolynomial(a, b, 4)
     G = AxialPolynomial(a, b, 3)
-    trusted = [G + G, -G, G - G, G * Fraction(2, 3), Fraction(-2, 3) * G, G * 0, G * 0.5,
+    trusted = [G + G, -G, G - G, G * Fraction(2, 3), Fraction(-2, 3) * G, G * 0, G * True,
                G.diff_x0(), apply_radial_powers((a, b), 3)]
     for H in trusted:
         assert H == AxialPolynomial(H.A, H.B, H.n)
@@ -110,8 +110,7 @@ def test_public_constructor_checks_every_term_and_trusted_results_agree():
         G * poly({(0, 1): 1})
     r_sq = poly({(0, 2): 1})
     assert G * r_sq == AxialPolynomial(a * r_sq, b * r_sq, 3)
-    # scaling never stores a zero coefficient, even when a float product underflows
-    assert (poly({(1, 0): 1e-200}) * 1e-200).is_zero
+    # scaling by zero stores no zero coefficient
     assert (poly({(1, 0): 3}) * 0).is_zero and (Fraction(0) * poly({(1, 0): 3})).is_zero
     assert 2 * poly({(1, 0): Fraction(1, 2)}) == poly({(1, 0): 1})
 
@@ -270,12 +269,32 @@ def test_evaluate_exact_at_float_points_substitutes_plainly():
     assert value.vector_part() == (2.0, 0, 0)
 
 
-def test_evaluate_exact_with_float_coefficients_substitutes_plainly():
-    F = AxialPolynomial(poly({(2, 0): 1, (0, 2): Fraction(-1, 3)}), poly({(1, 1): 2}), 3)
-    value = evaluate(F * 0.5, Paravector(1, (Fraction(1, 2), 0, 0)))
-    assert value.scalar_part() == pytest.approx(11 / 24)
-    assert value.vector_part() == (0.5, 0, 0)
-    assert evaluate(F * 0.5, Paravector(1, (0, 0, 0))).scalar_part() == 0.5
+def test_coefficients_that_are_not_rational_are_rejected():
+    G = poly({(2, 0): 1, (0, 2): Fraction(-1, 3)})
+    F = AxialPolynomial(G, poly({(1, 1): 2}), 3)
+    for build in (
+        lambda: poly({(1, 0): 0.5}),
+        lambda: poly({(1, 0): 1, (0, 2): 1e-200}),
+        lambda: BivariatePoly.constant(0.0),
+        lambda: AxialPolynomial.constant(0.5, 3),
+        lambda: G * 0.5,
+        lambda: 0.5 * G,
+        lambda: F * 0.25,
+        lambda: 0.25 * F,
+        lambda: G * "2",
+    ):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            build()
+    # zero scalars of either kind give the zero polynomial
+    for zero in (0, Fraction(0), False):
+        assert (G * zero).is_zero and (zero * G).is_zero and (F * zero).is_zero
+    # bool, int and Fraction scalars scale exactly
+    assert G * True == G and 2 * G == G + G and F * -1 == -F
+    half = F * Fraction(1, 2)
+    value = evaluate(half, Paravector(1, (Fraction(1, 2), 0, 0)))
+    assert value.scalar_part() == Fraction(11, 24)
+    assert value.vector_part() == (Fraction(1, 2), 0, 0)
+    assert evaluate(half, Paravector(1, (0, 0, 0))).scalar_part() == Fraction(1, 2)
 
 
 def test_evaluate_even_rejects_odd_r_degree():

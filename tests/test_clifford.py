@@ -10,8 +10,6 @@ from cliffex.clifford import (
     Paravector,
     UnitDirection,
     conjugate,
-    geometric_product,
-    omega,
     paravector_power,
 )
 
@@ -121,24 +119,20 @@ def test_pure_vector_square_is_minus_norm():
 
 def test_omega_of_zero_vector_raises():
     with pytest.raises(ValueError):
-        omega((0, 0, 0))
+        UnitDirection((0, 0, 0))
 
 
 def test_omega_exact_unit_when_norm_is_a_square():
-    direction = omega((Fraction(3), Fraction(4)))
+    direction = UnitDirection((Fraction(3), Fraction(4)))
     assert direction.norm_sq == 25
     assert direction.exact_unit() == (Fraction(3, 5), Fraction(4, 5))
 
 
 def test_omega_exact_unit_none_for_irrational_norm():
-    direction = omega((1, 1, 0))
+    direction = UnitDirection((1, 1, 0))
     assert direction.exact_unit() is None
     ux, uy, uz = direction.float_unit()
     assert abs(ux * ux + uy * uy + uz * uz - 1.0) < 1e-15
-
-
-def test_unit_direction_square_scalar():
-    assert UnitDirection((2, 3)).square_scalar() == -1
 
 
 def test_multivector_text():

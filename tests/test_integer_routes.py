@@ -4,7 +4,7 @@ Each check that only asks "is it zero?" or "are they equal?" works over
 one common denominator.  These tests hold every such route to the
 Fraction composition it replaced, on seeded random axial polynomials
 with mixed denominators, monogenic and non-monogenic inputs, residual
-keys that cancel, an empty A or B, and float coefficients.
+keys that cancel, an empty A or B, and rescaled polynomials.
 """
 
 import random
@@ -52,10 +52,6 @@ def perturbed(G, rng):
     return AxialPolynomial(A, B, G.n)
 
 
-def float_scaled(G):
-    return G * 0.5
-
-
 def residual_cases(rng, n, degree):
     appell = appell_sequence(n, degree)
     cases = [random_axial(rng, n, d) for d in (0, 1, 3, degree)]
@@ -69,9 +65,9 @@ def residual_cases(rng, n, degree):
         AxialPolynomial(BivariatePoly.zero(), G.B, n),
         AxialPolynomial.zero(n),
         AxialPolynomial.constant(F(-5, 3), n),
-        float_scaled(G),
-        float_scaled(appell[degree]),
-        AxialPolynomial(G.A * 0.25, G.B, n),
+        G * F(1, 2),
+        appell[degree] * F(-3, 2),
+        AxialPolynomial(G.A * F(1, 4), G.B, n),
     ]
     return cases
 
@@ -94,7 +90,7 @@ def oracle_cases(rng, n):
     cases = [from_axial(P) for P in appell_sequence(n, top)]
     cases += [from_axial(random_axial(rng, n, d)) for d in (1, 2, top)]
     cases += [from_axial(perturbed(P, rng)) for P in appell_sequence(n, top)[1:]]
-    cases += [from_axial(float_scaled(appell_sequence(n, 2)[2])), CliffordPolynomial.zero(n)]
+    cases += [from_axial(appell_sequence(n, 2)[2] * F(1, 2)), CliffordPolynomial.zero(n)]
     # right multiplication by a constant keeps D P = 0 and fills higher-grade blades
     M = Multivector(n, {0: F(2, 3), 0b11: F(-1, 5), 0b101: 1, (1 << n) - 1: F(7, 4)})
     for P in appell_sequence(n, top)[1:]:
@@ -130,11 +126,11 @@ def reference_report(polys):
 
 
 def edits(P):
-    """Every one-coefficient change of P: shift, drop, float, and one extra key."""
+    """Every one-coefficient change of P: shift, drop, sign flip, and one extra key."""
     for part in ("A", "B"):
         terms = dict(getattr(P, part).terms())
         for key in terms:
-            for value in (terms[key] + F(1, 7), None, float(terms[key])):
+            for value in (terms[key] + F(1, 7), None, -terms[key]):
                 changed = dict(terms)
                 if value is None:
                     del changed[key]

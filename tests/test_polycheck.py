@@ -58,6 +58,19 @@ def test_degree_one_appell_is_in_the_kernel():
     assert is_monogenic(from_axial(appell_polynomial(5, 1)))
 
 
+def test_is_monogenic_rejects_coefficients_that_are_not_rational():
+    P = from_axial(appell_polynomial(3, 2))
+    floats = CliffordPolynomial(
+        3, {e: Multivector(3, {m: float(c) for m, c in mv.items()}) for e, mv in P.terms()}
+    )
+    one_float = P + CliffordPolynomial(3, {(0, 0, 0, 0): Multivector.scalar(3, 0.5)})
+    for Q in (floats, one_float):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            is_monogenic(Q)
+    # the reference operator applies D to any coefficients; D kills the constant
+    assert cauchy_riemann_apply(one_float).is_zero
+
+
 def test_x0_alone_is_not_monogenic():
     x0 = CliffordPolynomial(3, {(1, 0, 0, 0): Multivector.scalar(3, 1)})
     assert not is_monogenic(x0)

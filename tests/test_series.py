@@ -398,10 +398,11 @@ def test_compare_json_schema():
     assert data["gamma"] == "1"
     assert data["first_violation"] is None
     assert data["coefficients"][2] == {"k": 2, "tau": "1/2", "eta": "1/2", "equal": True}
-    failing = recurrence_check(3, get_series("geometric"), 10).to_json_dict()
+    failing = compare_extensions(3, get_series("geometric"), 10).to_json_dict()
     assert failing["holds"] is False
     assert failing["first_violation"] == {"k": 1, "lhs": "1", "rhs": "1/3"}
-    assert failing["coefficients"] == []
+    assert [row["k"] for row in failing["coefficients"]] == list(range(11))
+    assert not all(row["equal"] for row in failing["coefficients"])
 
 
 def test_normalized_transform_is_not_additive_across_degrees():
