@@ -7,15 +7,15 @@ binomial form used here, and every defining property is re-verified as
 an exact identity by the test suite, so the construction certifies
 itself.
 
-appell_sequence builds P_0 .. P_K together from one c-table, and
-appell_polynomial is its single-row case; appell_combination writes a
-linear combination of the P_k straight into one pair of dicts.  Each
+Every polynomial here is one fold of that binomial row: sum a P_k over
+rows (k, a), each term written once as Fraction(a.num C(k,s) c.num,
+a.den c.den) with the binomial stepped in integers.  appell_polynomial
+folds the single row (k, 1), appell_sequence folds (k, 1) for k = 0..K
+over one c-table, and appell_combination folds its nonzero a_k.  Each
 call reads its c-table afresh through c_coeff: nothing is cached
 between calls, so a patched c_coeff shows in every route.
 
-The routes work in integers where they can.  A row's coefficient is
-one Fraction(C(k,s) num, den) with the binomial stepped in integers,
-and appell_property_report checks d/dx0 P_k = k P_(k-1) key by key by
+appell_property_report checks d/dx0 P_k = k P_(k-1) key by key by
 cross-multiplying numerators and denominators, building no derivative
 and no scaled polynomial.  Coefficients are int or Fraction by the
 axial policy, so every one of them has a numerator and a denominator.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .axial import AxialPolynomial, BivariatePoly
-from .exact import double_factorial, require_odd_dimension
+from .axial import AxialPolynomial, BivariatePoly, _require_rational
+from .exact import double_factorial, require_nonnegative, require_odd_dimension
 
 
 def c_coeff(n: int, k: int) -> Fraction:
@@ -38,8 +38,7 @@ def c_coeff(n: int, k: int) -> Fraction:
     Both use the 0!! = (-1)!! = 1 convention, so c_n^0 = 1.
     """
     require_odd_dimension(n)
-    if k < 0:
-        raise ValueError("k must be nonnegative, got %r" % (k,))
+    require_nonnegative("k", k)
     if k % 2 == 0:
         return Fraction(
             double_factorial(k - 1) * double_factorial(n - 2),
@@ -61,28 +60,29 @@ def _signed_c_table(n: int, K: int) -> list[Fraction]:
     return [-c if s & 2 else c for s, c in enumerate(c_table(n, K))]
 
 
-def _appell_row(n: int, k: int, signed_c: list) -> AxialPolynomial:
-    """P_k^n from the signed c-table: (-1)^(s//2) C(k,s) c_n^s at key (k-s, s).
+def _fold(n: int, signed_c: list, rows) -> AxialPolynomial:
+    """sum a P_k^n over rows (k, a) with a rational and nonzero, as one axial sum.
 
-    Even s lands in A, odd s in B.  The binomial is stepped in
-    integers and each coefficient is one Fraction(C(k,s) num, den).
+    The term a (-1)^(s//2) C(k,s) c_n^s lands at key (k-s, s): in A for
+    even s, in B for odd s.  Each key occurs once, so every term is
+    written straight into its dict as one Fraction(a.num C(k,s) c.num,
+    a.den c.den), with a.num C(k,s) stepped in integers along s.
+    Iterating k outer, s inner gives the same term order as adding a P_k
+    one at a time.
     """
     a_terms: dict = {}
     b_terms: dict = {}
-    binom = 1
-    for s in range(k + 1):
-        c = signed_c[s]
-        if c:
-            (b_terms if s & 1 else a_terms)[(k - s, s)] = Fraction(
-                binom * c.numerator, c.denominator
-            )
-        binom = binom * (k - s) // (s + 1)
+    for k, a in rows:
+        den = a.denominator
+        scaled = a.numerator  # a.num C(k, s), stepped in integers
+        for s in range(k + 1):
+            c = signed_c[s]
+            if c:
+                (b_terms if s & 1 else a_terms)[(k - s, s)] = Fraction(
+                    scaled * c.numerator, den * c.denominator
+                )
+            scaled = scaled * (k - s) // (s + 1)
     return AxialPolynomial._trusted(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
-
-
-def _require_nonnegative(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError("%s must be nonnegative, got %r" % (name, value))
 
 
 def appell_polynomial(n: int, k: int) -> AxialPolynomial:
@@ -90,11 +90,10 @@ def appell_polynomial(n: int, k: int) -> AxialPolynomial:
 
     Expands sum_s C(k,s) c_n^s x0^(k-s) x^s with the vector powers
     folded into (r, omega): x^(2p) = (-1)^p r^(2p) lands in the scalar
-    part, x^(2p+1) = (-1)^p r^(2p+1) omega in the omega part.  This is
-    the single-row case of appell_sequence.
+    part, x^(2p+1) = (-1)^p r^(2p+1) omega in the omega part.
     """
-    _require_nonnegative("k", k)
-    return _appell_row(n, k, _signed_c_table(n, k))
+    require_nonnegative("k", k)
+    return _fold(n, _signed_c_table(n, k), [(k, 1)])
 
 
 def appell_sequence(n: int, K: int) -> list[AxialPolynomial]:
@@ -104,35 +103,23 @@ def appell_sequence(n: int, K: int) -> list[AxialPolynomial]:
     term and in the same key order, but the c-table is read through
     c_coeff K+1 times in all instead of k+1 times per polynomial.
     """
-    _require_nonnegative("K", K)
+    require_nonnegative("K", K)
     signed_c = _signed_c_table(n, K)
-    return [_appell_row(n, k, signed_c) for k in range(K + 1)]
+    return [_fold(n, signed_c, [(k, 1)]) for k in range(K + 1)]
 
 
 def appell_combination(n: int, coeffs: Sequence) -> AxialPolynomial:
     """sum_k a_k P_k^n for coeffs = (a_0, ..., a_K), as one direct sum.
 
-    The term a_k C(k,s) c_n^s x0^(k-s) x^s is folded into (r, omega) as
-    in appell_polynomial and lands at key (k-s, s) of A (even s) or B
-    (odd s) with sign (-1)^(s // 2).  Each key occurs once, so the
-    (K+1)(K+2)/2 terms are written straight into two dicts: O(K^2)
-    coefficient products and no P_k built.  Iterating k outer, s inner
-    gives the same term order as adding a_k P_k one at a time.  The
-    c-table is read through c_coeff on every call.
+    Every a_k must be int or Fraction (TypeError otherwise).  The
+    nonzero ones are folded into one pair of dicts: (K+1)(K+2)/2 terms
+    at most and no P_k built.  The c-table is read through c_coeff on
+    every call.
     """
-    signed_c = _signed_c_table(n, len(coeffs) - 1)
-    a_terms: dict = {}
-    b_terms: dict = {}
-    for k, a in enumerate(coeffs):
-        if not a:
-            continue
-        binom = 1
-        for s in range(k + 1):
-            term = a * binom * signed_c[s]
-            if term:
-                (b_terms if s & 1 else a_terms)[(k - s, s)] = term
-            binom = binom * (k - s) // (s + 1)
-    return AxialPolynomial._trusted(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
+    for a in coeffs:
+        _require_rational(a)
+    rows = [(k, a) for k, a in enumerate(coeffs) if a]
+    return _fold(n, _signed_c_table(n, len(coeffs) - 1), rows)
 
 
 @dataclass(frozen=True)

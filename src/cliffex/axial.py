@@ -11,13 +11,16 @@ application, the Vekua-type residual whose vanishing certifies
 monogenicity, and exact/float point evaluation.
 
 Coefficients are rational: int or Fraction.  The public BivariatePoly
-constructor and scalar multiplication raise TypeError for anything
-else (a float, say), so every coefficient has a numerator and a
-denominator.  The exact routes that only need a sum or a zero test use
-that: vekua_residual and exact evaluate bring the coefficients to one
-common denominator L, accumulate integer numerators, and build a
-Fraction only for a result that survives.  Float evaluation converts
-at the point, never in the coefficients.
+constructor raises TypeError for anything else (a float, say), so
+every coefficient has a numerator and a denominator.  The exact routes
+that only need a sum or a zero test use that: vekua_residual and exact
+evaluate bring the coefficients to one common denominator L,
+accumulate integer numerators, and build a Fraction only for a result
+that survives.  Float evaluation converts at the point, never in the
+coefficients.
+
+Polynomials scale by an int or a Fraction only; a float factor, or a
+polynomial one, raises TypeError as well.
 """
 
 from __future__ import annotations
@@ -75,10 +78,6 @@ class BivariatePoly:
         return cls()
 
     @classmethod
-    def monomial(cls, coeff, i: int, j: int) -> "BivariatePoly":
-        return cls({(i, j): coeff})
-
-    @classmethod
     def constant(cls, value) -> "BivariatePoly":
         return cls({(0, 0): value})
 
@@ -91,9 +90,6 @@ class BivariatePoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def r_degrees(self) -> set:
-        return {j for (_, j) in self._terms}
 
     def is_even_in_r(self) -> bool:
         return all(j % 2 == 0 for (_, j) in self._terms)
@@ -121,19 +117,12 @@ class BivariatePoly:
     def __neg__(self):
         return BivariatePoly._trusted({key: -c for key, c in self._terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, BivariatePoly):
-            out: dict[Tuple[int, int], object] = {}
-            for (ia, ja), ca in self._terms.items():
-                for (ib, jb), cb in other._terms.items():
-                    key = (ia + ib, ja + jb)
-                    out[key] = out.get(key, 0) + ca * cb
-            return BivariatePoly(out)
-        _require_rational(other)
-        if not other:
+    def __mul__(self, scalar):
+        _require_rational(scalar)
+        if not scalar:
             return BivariatePoly._trusted({})
         # a nonzero rational scalar keeps every term nonzero
-        return BivariatePoly._trusted({key: c * other for key, c in self._terms.items()})
+        return BivariatePoly._trusted({key: c * scalar for key, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -177,17 +166,6 @@ class BivariatePoly:
         for (i, j), c in self._terms.items():
             total += c * x0**i * r**j
         return total
-
-    def evaluate_even(self, x0, r_sq):
-        """Substitute r^2 = r_sq.  Requires every r-degree to be even.
-
-        This is the radical-free route: no square root of r_sq is ever
-        taken, so exact rational points stay exact.
-        """
-        for _, j in self._terms:
-            if j % 2:
-                raise ValueError("odd r-degree %d cannot use the r^2 substitution" % j)
-        return _even_sum(self, x0, r_sq)
 
 
 class AxialPolynomial:
@@ -251,9 +229,7 @@ class AxialPolynomial:
         return AxialPolynomial._trusted(-self.A, -self.B, self.n)
 
     def __mul__(self, scalar):
-        # a bivariate factor can change the parity in r, so it is checked
-        build = AxialPolynomial if isinstance(scalar, BivariatePoly) else AxialPolynomial._trusted
-        return build(self.A * scalar, self.B * scalar, self.n)
+        return AxialPolynomial._trusted(self.A * scalar, self.B * scalar, self.n)
 
     __rmul__ = __mul__
 

@@ -186,13 +186,6 @@ class Paravector:
     def n(self) -> int:
         return len(self.vec)
 
-    @classmethod
-    def from_components(cls, components: Iterable) -> "Paravector":
-        parts = list(components)
-        if len(parts) < 2:
-            raise ValueError("need x0 plus at least one vector component")
-        return cls(parts[0], parts[1:])
-
     def to_multivector(self) -> Multivector:
         coeffs = {0: self.x0}
         for i, c in enumerate(self.vec):

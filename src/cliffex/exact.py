@@ -4,8 +4,8 @@ Every polynomial coefficient in this package is an ``int`` or a
 ``fractions.Fraction``: arbitrary-precision, always in lowest terms,
 never rounded.  The helpers below are the factorial-type functions the
 Appell coefficients, the radial-operator images and the hypergeometric
-term weights are assembled from, plus the one check of the dimension n
-that every construction shares.
+term weights are assembled from, plus the two argument checks every
+construction shares: an odd dimension n and a nonnegative size.
 
 All values are immutable and all functions are pure, so everything here
 is safe to share between threads or tasks.
@@ -18,6 +18,7 @@ from fractions import Fraction
 
 __all__ = [
     "require_odd_dimension",
+    "require_nonnegative",
     "factorial",
     "double_factorial",
     "binomial",
@@ -29,6 +30,12 @@ def require_odd_dimension(n: int) -> None:
     """Raise ValueError unless n is odd and > 1, the dimensions the theory covers."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd (> 1), got %r" % (n,))
+
+
+def require_nonnegative(name: str, value: int) -> None:
+    """Raise ValueError unless the size or index called name is >= 0."""
+    if value < 0:
+        raise ValueError("%s must be nonnegative, got %r" % (name, value))
 
 
 def factorial(m: int) -> int:

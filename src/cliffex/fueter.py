@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axial import AxialPolynomial, BivariatePoly, apply_radial_powers
-from .exact import binomial, double_factorial, factorial, require_odd_dimension
+from .exact import binomial, double_factorial, factorial, require_nonnegative, require_odd_dimension
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class MonomialSplit:
 
 def monomial_split(k: int) -> MonomialSplit:
     """Binomial expansion of (w + iy)^k sorted by parity of the y-power."""
-    if k < 0:
-        raise ValueError("k must be nonnegative, got %r" % (k,))
+    require_nonnegative("k", k)
     u_terms = {}
     v_terms = {}
     for s in range(k + 1):
@@ -71,8 +70,7 @@ def beta(n: int, j: int) -> BetaTerm:
     when 2p = n-1.
     """
     require_odd_dimension(n)
-    if j < 0:
-        raise ValueError("j must be nonnegative, got %r" % (j,))
+    require_nonnegative("j", j)
     p = j // 2
     if 2 * p < n - 1:
         return BetaTerm(n, j, Fraction(0), 0, True)
@@ -140,8 +138,7 @@ def fueter_sce_series(n: int, f, alpha: Fraction, K: int):
     """
     if not alpha:
         raise ValueError("alpha must be nonzero")
-    if K < 0:
-        raise ValueError("K must be nonnegative, got %r" % (K,))
+    require_nonnegative("K", K)
     out = []
     for k in range(K + 1):
         a = Fraction(f.coeff(k + n - 1))

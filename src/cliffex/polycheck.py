@@ -64,24 +64,6 @@ class CliffordPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __add__(self, other):
-        if not isinstance(other, CliffordPolynomial):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.n, other.n))
-        out = dict(self._terms)
-        for expo, mv in other._terms.items():
-            out[expo] = out[expo] + mv if expo in out else mv
-        return CliffordPolynomial(self.n, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, CliffordPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return CliffordPolynomial(self.n, {e: -mv for e, mv in self._terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, CliffordPolynomial):
             return NotImplemented

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from . import fueter
 from .appell import appell_combination
 from .axial import AxialPolynomial, format_rational
-from .exact import factorial, pochhammer, require_odd_dimension
+from .exact import factorial, pochhammer, require_nonnegative, require_odd_dimension
 from .fueter import default_alpha
 
 DEFAULT_K = 40
@@ -51,8 +51,7 @@ class SeriesSpec:
     generator: Callable[[int], Fraction]
 
     def coeff(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("coefficient index must be nonnegative, got %r" % (k,))
+        require_nonnegative("coefficient index", k)
         return Fraction(self.generator(k))
 
 
@@ -83,8 +82,7 @@ BUILTIN_SERIES = {
 
 def monomial(m: int) -> SeriesSpec:
     """The single-term series z^m."""
-    if m < 0:
-        raise ValueError("monomial degree must be nonnegative, got %r" % (m,))
+    require_nonnegative("monomial degree", m)
     return SeriesSpec("z^%d" % m, lambda k: Fraction(1) if k == m else Fraction(0))
 
 
@@ -127,8 +125,7 @@ def appell_extension(n: int, f: SeriesSpec, K: int) -> TruncatedExtension:
     built.
     """
     require_odd_dimension(n)
-    if K < 0:
-        raise ValueError("K must be nonnegative, got %r" % (K,))
+    require_nonnegative("K", K)
     coeffs = tuple((k, f.coeff(k)) for k in range(K + 1))
     total = appell_combination(n, [a for _, a in coeffs])
     return TruncatedExtension(f.name, n, coeffs, total)
@@ -229,8 +226,7 @@ def solve_recurrence(params: ClassParameters, M: int) -> list:
     a_m = gamma^l r! a_r / m!.  l = 0 returns the initial coefficients
     untouched.
     """
-    if M < 0:
-        raise ValueError("M must be nonnegative, got %r" % (M,))
+    require_nonnegative("M", M)
     out = []
     for m in range(M + 1):
         l, r = divmod(m, params.n - 1)
@@ -242,8 +238,7 @@ def solve_recurrence(params: ClassParameters, M: int) -> list:
 
 def iterate_recurrence(params: ClassParameters, M: int) -> list:
     """Brute-force oracle: step the recurrence itself, no closed form."""
-    if M < 0:
-        raise ValueError("M must be nonnegative, got %r" % (M,))
+    require_nonnegative("M", M)
     step = params.n - 1
     coeffs = [Fraction(0)] * (M + 1)
     for r in range(min(step, M + 1)):
@@ -264,8 +259,7 @@ def solve_recurrence_shifted(params: ClassParameters, M: int) -> list:
     solution at l = 1 whenever gamma and the initials allow a nonzero
     value there.
     """
-    if M < 0:
-        raise ValueError("M must be nonnegative, got %r" % (M,))
+    require_nonnegative("M", M)
     n = params.n
     out = []
     for m in range(M + 1):
@@ -283,8 +277,7 @@ def solve_recurrence_shifted(params: ClassParameters, M: int) -> list:
 
 def _hyper_cap(l_max: Optional[int]) -> int:
     if l_max is not None:
-        if l_max < 0:
-            raise ValueError("l_max must be nonnegative, got %r" % (l_max,))
+        require_nonnegative("l_max", l_max)
         return l_max
     env = os.environ.get("CLIFFEX_LMAX")
     if env is None:
@@ -329,8 +322,7 @@ def hypergeometric_1f(
     """
     _check_lower_parameters(lower)
     if terms is not None:
-        if terms < 0:
-            raise ValueError("terms must be nonnegative, got %r" % (terms,))
+        require_nonnegative("terms", terms)
         total = 0
         term = 1
         for l in range(terms + 1):
@@ -374,8 +366,7 @@ def closed_form_coefficient(params: ClassParameters, m: int) -> Fraction:
     (n-1)^(l(n-1))) is multiplied out as one integer numerator and one
     integer denominator and reduced once.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative, got %r" % (m,))
+    require_nonnegative("m", m)
     n = params.n
     l, r = divmod(m, n - 1)
     a_r, gamma = params.initial[r], params.gamma

@@ -14,6 +14,7 @@ from . import polycheck, series
 from .appell import appell_property_report, appell_sequence
 from .axial import evaluate, vekua_residual
 from .clifford import Multivector, Paravector
+from .exact import require_nonnegative
 from .fueter import fueter_sce_monomial
 
 
@@ -55,9 +56,8 @@ def verify_theorem1(n: int, kmax: int = 15) -> SuiteReport:
 
 def verify_monogenic(n: int, kmax: int = 30, oracle_kmax: int = 8) -> SuiteReport:
     """Vekua residuals of P_k^n, with the expanded-operator oracle at small n."""
-    for name, value in (("kmax", kmax), ("oracle_kmax", oracle_kmax)):
-        if value < 0:
-            raise ValueError("%s must be nonnegative, got %r" % (name, value))
+    require_nonnegative("kmax", kmax)
+    require_nonnegative("oracle_kmax", oracle_kmax)
     report = SuiteReport("monogenic")
     # the expanded-operator oracle runs at n <= 5 only
     polys = appell_sequence(n, max(kmax, oracle_kmax if n <= 5 else 0))

