@@ -24,13 +24,7 @@ from .axial import (
     text_form,
     vekua_residual,
 )
-from .clifford import (
-    Multivector,
-    Paravector,
-    UnitDirection,
-    conjugate,
-    paravector_power,
-)
+from .clifford import Multivector, Paravector, paravector_power
 from .exact import binomial, double_factorial, factorial, pochhammer
 from .fueter import (
     BetaTerm,
@@ -87,7 +81,6 @@ __all__ = [
     "Paravector",
     "RecurrenceReport",
     "SeriesSpec",
-    "UnitDirection",
     "alpha_monomial",
     "appell_extension",
     "appell_polynomial",
@@ -102,7 +95,6 @@ __all__ = [
     "closed_form_coefficient",
     "closed_form_eval",
     "compare_extensions",
-    "conjugate",
     "default_alpha",
     "double_factorial",
     "evaluate",

@@ -8,21 +8,24 @@ an exact identity by the test suite, so the construction certifies
 itself.
 
 Every polynomial here is one fold of that binomial row: sum a P_k over
-rows (k, a), each term written once as Fraction(a.num C(k,s) c.num,
-a.den c.den) with the binomial stepped in integers.  appell_polynomial
-folds the single row (k, 1), appell_sequence folds (k, 1) for k = 0..K
-over one c-table, and appell_combination folds its nonzero a_k.  Each
-call reads its c-table afresh through c_coeff: nothing is cached
-between calls, so a patched c_coeff shows in every route.
+rows (k, a), summed in integers.  The c-table is read as integer
+numerators over L, the lcm of its denominators, the a_k over R, the
+lcm of theirs, and each term a C(k,s) c_n^s is written once as an
+integer numerator over R L, with the binomial stepped in integers.
+appell_polynomial folds the single row (k, 1), appell_sequence folds
+(k, 1) for k = 0..K over one c-table, and appell_combination folds its
+nonzero a_k.  Each call reads its c-table afresh through c_coeff:
+nothing is cached between calls, so a patched c_coeff shows in every
+route.
 
-appell_property_report checks d/dx0 P_k = k P_(k-1) key by key by
-cross-multiplying numerators and denominators, building no derivative
-and no scaled polynomial.  Coefficients are int or Fraction by the
-axial policy, so every one of them has a numerator and a denominator.
+appell_property_report checks d/dx0 P_k = k P_(k-1) key by key, one
+integer cross-multiplication by the two polynomials' denominators per
+key, building no derivative and no scaled polynomial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,37 +55,45 @@ def c_coeff(n: int, k: int) -> Fraction:
 
 def c_table(n: int, K: int) -> list[Fraction]:
     """c_n^0 .. c_n^K as a list, the CLI-facing dump."""
+    require_odd_dimension(n)
     return [c_coeff(n, k) for k in range(K + 1)]
 
 
-def _signed_c_table(n: int, K: int) -> list[Fraction]:
-    """(-1)^(s // 2) c_n^s for s = 0..K, the sign of x^s folded into (r, omega)."""
-    return [-c if s & 2 else c for s, c in enumerate(c_table(n, K))]
+def _signed_c_table(n: int, K: int) -> tuple[list[int], int]:
+    """(-1)^(s // 2) c_n^s for s = 0..K as integer numerators over L, and L.
+
+    L is the lcm of the denominators; the sign of x^s is folded into
+    (r, omega).
+    """
+    table = c_table(n, K)
+    L = math.lcm(*(c.denominator for c in table))
+    return [(-1 if s & 2 else 1) * c.numerator * (L // c.denominator) for s, c in enumerate(table)], L
 
 
-def _fold(n: int, signed_c: list, rows) -> AxialPolynomial:
+def _fold(n: int, signed_c: tuple[list[int], int], rows) -> AxialPolynomial:
     """sum a P_k^n over rows (k, a) with a rational and nonzero, as one axial sum.
 
     The term a (-1)^(s//2) C(k,s) c_n^s lands at key (k-s, s): in A for
-    even s, in B for odd s.  Each key occurs once, so every term is
-    written straight into its dict as one Fraction(a.num C(k,s) c.num,
-    a.den c.den), with a.num C(k,s) stepped in integers along s.
-    Iterating k outer, s inner gives the same term order as adding a P_k
-    one at a time.
+    even s, in B for odd s.  Each key occurs once, so with the c-table
+    as numerators over L and the a over R = lcm(den a), every term is
+    written straight into its dict as the integer (a R) C(k,s) (c L),
+    with (a R) C(k,s) stepped in integers along s; both parts are over
+    R L.  Iterating k outer, s inner gives the same term order as adding
+    a P_k one at a time.
     """
+    c_num, L = signed_c
+    R = math.lcm(*(a.denominator for _, a in rows))
     a_terms: dict = {}
     b_terms: dict = {}
     for k, a in rows:
-        den = a.denominator
-        scaled = a.numerator  # a.num C(k, s), stepped in integers
+        scaled = a.numerator * (R // a.denominator)  # a R C(k, s), stepped in integers
         for s in range(k + 1):
-            c = signed_c[s]
+            c = c_num[s]
             if c:
-                (b_terms if s & 1 else a_terms)[(k - s, s)] = Fraction(
-                    scaled * c.numerator, den * c.denominator
-                )
+                (b_terms if s & 1 else a_terms)[(k - s, s)] = scaled * c
             scaled = scaled * (k - s) // (s + 1)
-    return AxialPolynomial._trusted(BivariatePoly._trusted(a_terms), BivariatePoly._trusted(b_terms), n)
+    den = R * L
+    return AxialPolynomial._trusted(BivariatePoly._trusted(a_terms, den), BivariatePoly._trusted(b_terms, den), n)
 
 
 def appell_polynomial(n: int, k: int) -> AxialPolynomial:
@@ -135,20 +146,22 @@ class AppellPropertyReport:
 def _is_scaled_derivative(P: AxialPolynomial, Q: AxialPolynomial, k: int) -> bool:
     """Whether d/dx0 P == k Q, compared key by key in integers.
 
-    A term c x0^i r^j of P with i > 0 must meet a term d at (i-1, j) of
-    Q in the same part with i c == k d, checked as i c.num d.den ==
-    k d.num c.den; and each part of Q must have exactly as many terms
-    as P has with i > 0.
+    With the parts of P and Q as numerators over dp and dq, a term
+    p x0^i r^j of P with i > 0 must meet a term q at (i-1, j) of Q in
+    the same part with i p / dp == k q / dq, checked as i p dq == k q dp;
+    and each part of Q must have exactly as many terms as P has with
+    i > 0.
     """
     if P.n != Q.n:
         return False
-    for p_terms, q_terms in ((P.A._terms, Q.A._terms), (P.B._terms, Q.B._terms)):
+    for p_part, q_part in ((P.A, Q.A), (P.B, Q.B)):
+        q_terms, dp, dq = q_part._num, p_part._den, q_part._den
         matched = 0
-        for (i, j), c in p_terms.items():
+        for (i, j), t in p_part._num.items():
             if not i:
                 continue
-            d = q_terms.get((i - 1, j))
-            if d is None or i * c.numerator * d.denominator != k * d.numerator * c.denominator:
+            q = q_terms.get((i - 1, j))
+            if q is None or i * t * dq != k * q * dp:
                 return False
             matched += 1
         if matched != len(q_terms):

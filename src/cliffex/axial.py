@@ -10,14 +10,14 @@ The module provides the two radial lowering rules, their (n-1)/2-fold
 application, the Vekua-type residual whose vanishing certifies
 monogenicity, and exact/float point evaluation.
 
-Coefficients are rational: int or Fraction.  The public BivariatePoly
-constructor raises TypeError for anything else (a float, say), so
-every coefficient has a numerator and a denominator.  The exact routes
-that only need a sum or a zero test use that: vekua_residual and exact
-evaluate bring the coefficients to one common denominator L,
-accumulate integer numerators, and build a Fraction only for a result
-that survives.  Float evaluation converts at the point, never in the
-coefficients.
+Coefficients are rational: the public BivariatePoly constructor takes
+int or Fraction and raises TypeError for anything else (a float, say).
+A BivariatePoly stores nonzero integer numerators over one positive
+denominator, in lowest terms, so equal polynomials have equal storage.
+Arithmetic, the radial lowering, vekua_residual and exact evaluate
+work on those integers directly; BivariatePoly._trusted is the one
+place that reduces.  terms() and coefficient() build Fractions on
+demand.  Float evaluation rounds each coefficient once, as num / den.
 
 Polynomials scale by an int or a Fraction only; a float factor, or a
 polynomial one, raises TypeError as well.
@@ -42,12 +42,14 @@ def _require_rational(c) -> None:
 class BivariatePoly:
     """Polynomial in (x0, r) with exact rational coefficients.
 
-    Terms map exponent pairs (i, j) to int or Fraction coefficients;
-    anything else raises TypeError.  Zero coefficients are never
-    stored.  Instances are immutable.
+    The public constructor takes a map from exponent pairs (i, j) to int
+    or Fraction coefficients; anything else raises TypeError.  Storage
+    is one dict of nonzero integer numerators over one positive
+    denominator, with gcd(denominator, every numerator) = 1.  Instances
+    are immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Tuple[int, int], object] | None = None):
         clean = {}
@@ -58,56 +60,67 @@ class BivariatePoly:
                 _require_rational(c)
                 if c:
                     clean[(i, j)] = c
-        self._terms = clean
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "BivariatePoly":
-        """Wrap a dict that is clean by construction, without copying it.
+    def _trusted(cls, num: dict, den: int = 1) -> "BivariatePoly":
+        """The polynomial num / den, reduced to lowest terms, without checks.
 
-        The caller guarantees nonnegative exponents and nonzero
-        coefficients and hands over ownership of the dict.  Going
-        through cls.__new__ keeps instance creation observable to
+        The caller guarantees nonnegative exponents, nonzero integer
+        numerators and den > 0, and hands over ownership of num.  This
+        is the one place that divides out gcd(den, every numerator).
+        Going through cls.__new__ keeps instance creation observable to
         anything that hooks it.
         """
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                for key in num:  # in place: num may be large, and it is ours
+                    num[key] //= g
+                den //= g
         poly = cls.__new__(cls)
-        poly._terms = terms
+        poly._num = num
+        poly._den = den
         return poly
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, value) -> "BivariatePoly":
-        return cls({(0, 0): value})
+        return cls._trusted({})
 
     def terms(self):
-        return self._terms.items()
+        """(exponent pair, Fraction coefficient) for every term, in storage order."""
+        den = self._den
+        return ((key, Fraction(t, den)) for key, t in self._num.items())
 
     def coefficient(self, i: int, j: int):
-        return self._terms.get((i, j), 0)
+        t = self._num.get((i, j))
+        return Fraction(t, self._den) if t else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_even_in_r(self) -> bool:
-        return all(j % 2 == 0 for (_, j) in self._terms)
+        return all(j % 2 == 0 for (_, j) in self._num)
 
     def is_odd_in_r(self) -> bool:
-        return all(j % 2 == 1 for (_, j) in self._terms)
+        return all(j % 2 == 1 for (_, j) in self._num)
 
     def __add__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            total = out.get(key, 0) + c
+        den = math.lcm(self._den, other._den)
+        mine, theirs = den // self._den, den // other._den
+        out = {key: t * mine for key, t in self._num.items()}
+        for key, t in other._num.items():
+            total = out.get(key, 0) + t * theirs
             if total:
                 out[key] = total
             else:
                 del out[key]
-        return BivariatePoly._trusted(out)
+        return BivariatePoly._trusted(out, den)
 
     def __sub__(self, other):
         if not isinstance(other, BivariatePoly):
@@ -115,56 +128,58 @@ class BivariatePoly:
         return self + (-other)
 
     def __neg__(self):
-        return BivariatePoly._trusted({key: -c for key, c in self._terms.items()})
+        return BivariatePoly._trusted({key: -t for key, t in self._num.items()}, self._den)
 
     def __mul__(self, scalar):
         _require_rational(scalar)
         if not scalar:
             return BivariatePoly._trusted({})
         # a nonzero rational scalar keeps every term nonzero
-        return BivariatePoly._trusted({key: c * scalar for key, c in self._terms.items()})
+        p = scalar.numerator
+        return BivariatePoly._trusted({key: t * p for key, t in self._num.items()}, self._den * scalar.denominator)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        return "BivariatePoly(%r)" % (self._terms,)
+        return "BivariatePoly(%r)" % (dict(self.terms()),)
 
     def diff_x0(self) -> "BivariatePoly":
         out = {}
-        for (i, j), c in self._terms.items():
+        for (i, j), t in self._num.items():
             if i > 0:
-                out[(i - 1, j)] = i * c
-        return BivariatePoly._trusted(out)
+                out[(i - 1, j)] = i * t
+        return BivariatePoly._trusted(out, self._den)
 
     def diff_r(self) -> "BivariatePoly":
         out = {}
-        for (i, j), c in self._terms.items():
+        for (i, j), t in self._num.items():
             if j > 0:
-                out[(i, j - 1)] = j * c
-        return BivariatePoly._trusted(out)
+                out[(i, j - 1)] = j * t
+        return BivariatePoly._trusted(out, self._den)
 
     def divide_r(self) -> "BivariatePoly":
         """Exact quotient by r; every term must have positive r-degree."""
         out = {}
-        for (i, j), c in self._terms.items():
+        for (i, j), t in self._num.items():
             if j == 0:
                 raise ValueError("term with r-degree 0 is not divisible by r")
-            out[(i, j - 1)] = c
-        return BivariatePoly._trusted(out)
+            out[(i, j - 1)] = t
+        return BivariatePoly._trusted(out, self._den)
 
-    def evaluate(self, x0, r):
-        """Plain substitution; works for exact and float arguments alike."""
+    def evaluate(self, x0: float, r: float) -> float:
+        """Float value by plain substitution, each coefficient rounded once as num / den."""
+        den = self._den
         total = 0
-        for (i, j), c in self._terms.items():
-            total += c * x0**i * r**j
+        for (i, j), t in self._num.items():
+            total += t / den * x0**i * r**j
         return total
 
 
@@ -204,10 +219,6 @@ class AxialPolynomial:
     @classmethod
     def zero(cls, n: int) -> "AxialPolynomial":
         return cls(BivariatePoly.zero(), BivariatePoly.zero(), n)
-
-    @classmethod
-    def constant(cls, value, n: int) -> "AxialPolynomial":
-        return cls(BivariatePoly.constant(value), BivariatePoly.zero(), n)
 
     @property
     def is_zero(self) -> bool:
@@ -252,10 +263,8 @@ class AxialPolynomial:
 
     def to_json_dict(self) -> dict:
         def part(p: BivariatePoly) -> list:
-            rows = []
-            for (i, j) in sorted(p._terms, key=lambda key: (-key[0], -key[1])):
-                rows.append({"x0": i, "r": j, "coeff": format_rational(p._terms[(i, j)])})
-            return rows
+            terms = sorted(p.terms(), key=lambda term: (-term[0][0], -term[0][1]))
+            return [{"x0": i, "r": j, "coeff": format_rational(c)} for (i, j), c in terms]
 
         return {"n": self.n, "A": part(self.A), "B": part(self.B)}
 
@@ -267,12 +276,12 @@ def radial_lower_even(p: BivariatePoly) -> BivariatePoly:
     r-degree would leave the polynomial ring, so it is rejected.
     """
     out = {}
-    for (i, j), c in p.terms():
+    for (i, j), t in p._num.items():
         if j % 2:
             raise ValueError("even-lowering rule applied to odd r-degree %d" % j)
         if j >= 2:
-            out[(i, j - 2)] = j * c
-    return BivariatePoly._trusted(out)
+            out[(i, j - 2)] = j * t
+    return BivariatePoly._trusted(out, p._den)
 
 
 def radial_lower_odd(p: BivariatePoly) -> BivariatePoly:
@@ -281,12 +290,12 @@ def radial_lower_odd(p: BivariatePoly) -> BivariatePoly:
     r^(2p+1) maps to 2p r^(2p-1); bare r terms vanish.
     """
     out = {}
-    for (i, j), c in p.terms():
+    for (i, j), t in p._num.items():
         if j % 2 == 0:
             raise ValueError("odd-lowering rule applied to even r-degree %d" % j)
         if j >= 3:
-            out[(i, j - 2)] = (j - 1) * c
-    return BivariatePoly._trusted(out)
+            out[(i, j - 2)] = (j - 1) * t
+    return BivariatePoly._trusted(out, p._den)
 
 
 def apply_radial_powers(uv: Tuple[BivariatePoly, BivariatePoly], n: int) -> AxialPolynomial:
@@ -311,29 +320,29 @@ def vekua_residual(F: AxialPolynomial) -> Tuple[BivariatePoly, BivariatePoly]:
     B/r is exact because B is odd in r, so both components are honest
     polynomials and "zero" is decidable.
 
-    Both parts come from one pass over the terms in integers: with L
-    the lcm of the coefficient denominators, a term a x0^i r^j of A adds
-    i a L to (i-1, j) of the first part and j a L to (i, j-1) of the
-    second; a term b x0^i r^j of B adds -(j+n-1) b L to (i, j-1) of the
-    first and i b L to (i-1, j) of the second.  Only a nonzero total t
-    becomes a coefficient, Fraction(t, L), so a monogenic F builds no
-    Fraction at all.
+    Both parts come from one pass over the integer numerators, brought
+    to L = lcm(den A, den B): a term a x0^i r^j of A adds i a to
+    (i-1, j) of the first part and j a to (i, j-1) of the second; a term
+    b x0^i r^j of B adds -(j+n-1) b to (i, j-1) of the first and i b to
+    (i-1, j) of the second.  Each part is then its nonzero totals over
+    L, so a monogenic F builds no coefficient at all.
     """
     n = F.n
-    a_terms, b_terms = F.A._terms, F.B._terms
-    L = _common_denominator(a_terms, b_terms)
+    L = math.lcm(F.A._den, F.B._den)
     first: dict = {}
     second: dict = {}
-    for (i, j), c in a_terms.items():
-        a = c.numerator * (L // c.denominator)
+    scale = L // F.A._den
+    for (i, j), t in F.A._num.items():
+        a = t * scale
         if i:
             key = (i - 1, j)
             first[key] = first.get(key, 0) + i * a
         if j:
             key = (i, j - 1)
             second[key] = second.get(key, 0) + j * a
-    for (i, j), c in b_terms.items():
-        b = c.numerator * (L // c.denominator)
+    scale = L // F.B._den
+    for (i, j), t in F.B._num.items():
+        b = t * scale
         key = (i, j - 1)
         first[key] = first.get(key, 0) - (j + n - 1) * b
         if i:
@@ -342,31 +351,28 @@ def vekua_residual(F: AxialPolynomial) -> Tuple[BivariatePoly, BivariatePoly]:
     return _over(first, L), _over(second, L)
 
 
-def _common_denominator(*term_maps: Mapping) -> int:
-    """The lcm of the denominators of every coefficient in term_maps; 1 when there are none."""
-    return math.lcm(*{c.denominator for terms in term_maps for c in terms.values()})
-
-
 def _over(numerators: dict, L: int) -> BivariatePoly:
     """The polynomial with coefficients t / L, leaving out every t that is 0."""
-    return BivariatePoly._trusted({key: Fraction(t, L) for key, t in numerators.items() if t})
+    return BivariatePoly._trusted({key: t for key, t in numerators.items() if t}, L)
 
 
 def evaluate(F: AxialPolynomial, x: Paravector, mode: str = "exact") -> Multivector:
     """Value of A + omega B at a paravector point, as a multivector.
 
-    Exact mode never materializes |x|: A is evaluated through r^2 and
-    omega B = x * C(x0, r^2) with B = r C, C read straight off the
-    exponents of B.  At a rational point each part is summed in
-    integers over one common denominator and reduced to a Fraction
-    once, instead of adding one Fraction (and taking one gcd) per term.
-    Float mode goes the naive way through math.sqrt, which doubles as
-    an independent numeric cross-check of the exact route.  x with zero
-    vector part is fine in both modes since B is odd in r.
+    Exact mode needs int or Fraction coordinates (TypeError otherwise)
+    and never materializes |x|: A is evaluated through r^2 and omega B
+    = x * C(x0, r^2) with B = r C, C read straight off the exponents of
+    B.  Each part is summed in integers over one common denominator and
+    reduced to a Fraction once.  Float mode goes the naive way through
+    math.sqrt, which doubles as an independent numeric cross-check of
+    the exact route.  x with zero vector part is fine in both modes
+    since B is odd in r.
     """
     if x.n != F.n:
         raise ValueError("point dimension %d does not match polynomial dimension %d" % (x.n, F.n))
     if mode == "exact":
+        if not all(isinstance(c, Rational) for c in (x.x0,) + x.vec):
+            raise TypeError("exact evaluate needs int or Fraction coordinates, got %r" % (x,))
         r_sq = x.vector_norm_sq()
         coeffs = {0: _even_sum(F.A, x.x0, r_sq)}
         if not F.B.is_zero and r_sq:
@@ -390,36 +396,28 @@ def evaluate(F: AxialPolynomial, x: Paravector, mode: str = "exact") -> Multivec
     raise ValueError("mode must be 'exact' or 'float', got %r" % (mode,))
 
 
-def _even_sum(p: BivariatePoly, x0, r_sq):
-    """Sum of c x0^i (r^2)^(j // 2) over the terms of p.
+def _even_sum(p: BivariatePoly, x0, r_sq) -> Fraction:
+    """Sum of c x0^i (r^2)^(j // 2) over the terms of p, at rational x0 and r^2.
 
     For A (even in r) this is A(x0, r); for B (odd in r) it is B/r.
-    At a rational point, with x0 = a/b, r^2 = u/v and L the lcm of the
-    coefficient denominators, every term times L b^D v^M (D, M the
-    largest exponents) is an integer: the sum is accumulated in
-    integers, grouped by r-exponent so each term costs one big
-    multiply, and reduced to a Fraction once at the end.  A point that
-    is not rational (say a float) takes plain term-by-term substitution.
+    With x0 = a/b, r^2 = u/v and D, M the largest exponents, every
+    numerator of p times b^D v^M is an integer at the point: the sum is
+    accumulated in integers, grouped by r-exponent so each term costs
+    one big multiply, and reduced to a Fraction once at the end.
     """
-    terms = p._terms
-    if not (isinstance(x0, Rational) and isinstance(r_sq, Rational)):
-        return sum(c * x0**i * r_sq ** (j >> 1) for (i, j), c in terms.items())
-    if not terms:
-        return Fraction(0)
-    L = _common_denominator(terms)
-    x0, r_sq = Fraction(x0), Fraction(r_sq)
+    num = p._num
     a, b = x0.numerator, x0.denominator
     u, v = r_sq.numerator, r_sq.denominator
-    D = max(i for i, _ in terms)
-    M = max(j for _, j in terms) >> 1
+    D = max((i for i, _ in num), default=0)
+    M = max((j for _, j in num), default=0) >> 1
     x_pows = [a**i * b ** (D - i) for i in range(D + 1)]
     r_pows = [u**m * v ** (M - m) for m in range(M + 1)]
     by_m: dict = {}
-    for (i, j), c in terms.items():
+    for (i, j), t in num.items():
         m = j >> 1
-        by_m[m] = by_m.get(m, 0) + c.numerator * (L // c.denominator) * x_pows[i]
+        by_m[m] = by_m.get(m, 0) + t * x_pows[i]
     total = sum(s * r_pows[m] for m, s in by_m.items())
-    return Fraction(total, L * b**D * v**M)
+    return Fraction(total, p._den * b**D * v**M)
 
 
 def format_rational(c) -> str:

@@ -13,8 +13,6 @@ no global state, so multivectors can be shared freely across tasks.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 MAX_DIMENSION = 9  # dense 2^n blade storage; enough for every check here
@@ -205,46 +203,6 @@ class Paravector:
 
     def __repr__(self):
         return "Paravector(%r, %r)" % (self.x0, self.vec)
-
-
-class UnitDirection:
-    """The direction x/|x| of a nonzero vector, kept radical-free.
-
-    Exact work never needs |x| itself: the pair (vector, |x|^2) is
-    enough, because the square of the direction is -|x|^2/|x|^2 = -1
-    identically.  ``exact_unit`` materializes the unit vector only when
-    the squared norm happens to be a perfect rational square.
-    """
-
-    __slots__ = ("vec", "norm_sq")
-
-    def __init__(self, vec: Iterable):
-        self.vec = tuple(vec)
-        self.norm_sq = sum(c * c for c in self.vec)
-        if not self.norm_sq:
-            raise ValueError("zero vector has no direction")
-
-    def exact_unit(self) -> tuple | None:
-        """The unit vector as exact Rationals, or None if |x| is irrational."""
-        q = Fraction(self.norm_sq)
-        num, den = q.numerator, q.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            return None
-        root = Fraction(rn, rd)
-        return tuple(Fraction(c) / root for c in self.vec)
-
-    def float_unit(self) -> tuple[float, ...]:
-        root = math.sqrt(float(self.norm_sq))
-        return tuple(float(c) / root for c in self.vec)
-
-    def __repr__(self):
-        return "UnitDirection(%r, norm_sq=%r)" % (self.vec, self.norm_sq)
-
-
-def conjugate(x: Paravector) -> Paravector:
-    """Paravector conjugation x0 + x -> x0 - x."""
-    return Paravector(x.x0, tuple(-c for c in x.vec))
 
 
 def paravector_power(x: Paravector, k: int) -> Multivector:

@@ -5,6 +5,10 @@ v_k; for odd n the transform applies (n-1)/2 radial lowering steps to
 each part and rescales by a normalization constant alpha so that the
 value at 1 is 1.  Degrees below n-1 are annihilated outright, which is
 why series transforms only ever see coefficients a_(k+n-1).
+
+The split of z^k and its lowered images have integer coefficients;
+the normalization is one scalar multiplication of the axial result by
+alpha.
 """
 
 from __future__ import annotations
@@ -112,19 +116,14 @@ def fueter_sce_monomial(n: int, k: int, normalized: bool = True) -> AxialPolynom
     which is a value, not an error.  With normalization the result for
     k >= n-1 takes the value 1 at x = 1.
 
-    The lowered coefficients c are integers, so with alpha = p/q each
-    normalized coefficient is built once, as Fraction(p c, q).
+    The lowered coefficients are integers; normalizing multiplies each
+    part by alpha = p/q, so the numerators become p times them over q,
+    reduced once per part.
     """
     split = monomial_split(k)
     result = apply_radial_powers((split.u, split.v), n)
     if normalized and k >= n - 1:
-        alpha = alpha_monomial(n, k)
-        p, q = alpha.numerator, alpha.denominator
-
-        def scaled(part: BivariatePoly) -> BivariatePoly:
-            return BivariatePoly._trusted({key: Fraction(p * c, q) for key, c in part.terms()})
-
-        result = AxialPolynomial._trusted(scaled(result.A), scaled(result.B), n)
+        result = result * alpha_monomial(n, k)
     return result
 
 

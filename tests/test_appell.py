@@ -21,6 +21,10 @@ from cliffex.exact import binomial
 F = Fraction
 
 
+def constant(value, n):
+    return AxialPolynomial(BivariatePoly({(0, 0): value}), BivariatePoly.zero(), n)
+
+
 def test_c_coeff_examples():
     assert c_coeff(3, 0) == 1
     assert c_coeff(3, 1) == F(1, 3)
@@ -52,8 +56,17 @@ def test_c_coeff_rejects_even_n_and_negative_k():
         c_coeff(3, -1)
 
 
+def test_an_empty_c_table_still_checks_the_dimension():
+    # no c_coeff call happens for K = -1, so c_table checks n itself
+    for build in (lambda: c_table(4, -1), lambda: appell_combination(4, [])):
+        with pytest.raises(ValueError, match="n must be odd"):
+            build()
+    assert c_table(3, -1) == []
+    assert appell_combination(3, []).is_zero
+
+
 def test_appell_polynomial_low_degrees():
-    assert appell_polynomial(3, 0) == AxialPolynomial.constant(1, 3)
+    assert appell_polynomial(3, 0) == constant(1, 3)
     assert appell_polynomial(3, 1) == AxialPolynomial(
         BivariatePoly({(1, 0): 1}), BivariatePoly({(0, 1): F(1, 3)}), 3
     )
@@ -189,7 +202,7 @@ def test_appell_combination_takes_int_or_fraction_coefficients_only():
 
 def test_appell_sequence_sizes():
     for n in (3, 5, 7, 9):
-        assert appell_sequence(n, 0) == [AxialPolynomial.constant(1, n)]
+        assert appell_sequence(n, 0) == [constant(1, n)]
     for bad in (-1, -5):
         with pytest.raises(ValueError, match="K must be nonnegative"):
             appell_sequence(3, bad)
@@ -229,7 +242,7 @@ def test_mutated_coefficient_shows_in_the_sequence_and_every_suite(monkeypatch):
     )
     for n in (3, 5):
         sequence = appell_module.appell_sequence(n, 40)
-        assert sequence[0] == AxialPolynomial.constant(2, n)
+        assert sequence[0] == constant(2, n)
         assert all(P.A.coefficient(k, 0) == 2 for k, P in enumerate(sequence))
         for suite in SUITES:
             assert not suite(n, 40).passed, (suite.__name__, n)

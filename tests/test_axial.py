@@ -1,5 +1,6 @@
 """Radial operators, the Vekua residual, and axial evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,11 +17,17 @@ from cliffex.axial import (
     text_form,
     vekua_residual,
 )
+from cliffex.appell import appell_sequence
 from cliffex.clifford import Paravector
+from cliffex.fueter import fueter_sce_monomial
 
 
 def poly(terms):
     return BivariatePoly(terms)
+
+
+def constant(value, n=3):
+    return AxialPolynomial(poly({(0, 0): value}), BivariatePoly.zero(), n)
 
 
 def test_radial_lower_even_examples():
@@ -115,7 +122,7 @@ def test_public_constructor_checks_every_term_and_trusted_results_agree():
 
 
 def test_vekua_residual_of_constants():
-    F = AxialPolynomial.constant(1, 3)
+    F = constant(1)
     first, second = vekua_residual(F)
     assert first.is_zero and second.is_zero
 
@@ -180,7 +187,7 @@ def test_evaluate_handles_zero_vector_part():
 
 
 def test_evaluate_rejects_bad_mode_and_dimension():
-    F = AxialPolynomial.constant(1, 3)
+    F = constant(1)
     with pytest.raises(ValueError):
         evaluate(F, Paravector(0, (1, 0, 0)), mode="symbolic")
     with pytest.raises(ValueError):
@@ -195,7 +202,7 @@ def test_text_form_ordering_and_signs():
     )
     assert text_form(F) == "x0^2 + 2/3 x0 r w - 1/3 r^2"
     assert text_form(AxialPolynomial.zero(3)) == "0"
-    assert text_form(AxialPolynomial.constant(Fraction(-5, 2), 3)) == "-5/2"
+    assert text_form(constant(Fraction(-5, 2))) == "-5/2"
 
 
 def test_text_form_unit_coefficients():
@@ -250,7 +257,7 @@ def test_evaluate_exact_matches_term_by_term_substitution():
         ))
     polys = [random_axial(rng, 3, d) for d in (1, 4, 9, 17)]
     polys.append(AxialPolynomial(random_axial(rng, 3, 8).A, BivariatePoly.zero(), 3))
-    polys.append(AxialPolynomial.constant(Fraction(-5, 3), 3))
+    polys.append(constant(Fraction(-5, 3)))
     polys.append(AxialPolynomial.zero(3))
     for F in polys:
         for x in points:
@@ -261,9 +268,13 @@ def test_evaluate_exact_matches_term_by_term_substitution():
             assert value.max_grade() <= 1
 
 
-def test_evaluate_exact_at_float_points_substitutes_plainly():
+def test_evaluate_exact_rejects_float_points():
     F = AxialPolynomial(poly({(1, 2): Fraction(1, 2)}), poly({(0, 1): 2}), 3)
-    value = evaluate(F, Paravector(2.0, (1.0, 0.0, 0.0)))
+    for x in (Paravector(2.0, (1, 0, 0)), Paravector(2, (1, 0.0, 0)), Paravector(0.0, (0, 0, 0))):
+        with pytest.raises(TypeError, match="exact evaluate needs int or Fraction coordinates"):
+            evaluate(F, x)
+    # the float route takes the same point
+    value = evaluate(F, Paravector(2.0, (1.0, 0.0, 0.0)), mode="float")
     assert value.scalar_part() == 1.0
     assert value.vector_part() == (2.0, 0, 0)
 
@@ -274,8 +285,8 @@ def test_coefficients_that_are_not_rational_are_rejected():
     for build in (
         lambda: poly({(1, 0): 0.5}),
         lambda: poly({(1, 0): 1, (0, 2): 1e-200}),
-        lambda: BivariatePoly.constant(0.0),
-        lambda: AxialPolynomial.constant(0.5, 3),
+        lambda: poly({(0, 0): 0.0}),
+        lambda: constant(0.5),
         lambda: G * 0.5,
         lambda: 0.5 * G,
         lambda: F * 0.25,
@@ -313,10 +324,44 @@ def test_trusted_constructor_goes_through_new():
             Counted.built += 1
             return super().__new__(cls)
 
-    terms = {(1, 0): Fraction(2)}
-    p = Counted._trusted(terms)
+    p = Counted._trusted({(1, 0): 4, (0, 2): -6}, 8)
     assert Counted.built == 1
-    assert type(p) is Counted and p == poly(terms)
+    assert type(p) is Counted and p == poly({(1, 0): Fraction(1, 2), (0, 2): Fraction(-3, 4)})
+    # the common factor 2 of the denominator and every numerator is divided out
+    assert (p._num, p._den) == ({(1, 0): 2, (0, 2): -3}, 4)
+    assert (BivariatePoly._trusted({}, 9)._den, BivariatePoly._trusted({(0, 0): 5}, 5)._num) == (1, {(0, 0): 1})
     with pytest.raises(ValueError):
         BivariatePoly({(-1, 0): 1})
     assert BivariatePoly({(0, 0): 0, (1, 0): 1}) == poly({(1, 0): 1})
+
+
+def storage(p):
+    return p._num, p._den, hash(p)
+
+
+def test_equal_polynomials_have_equal_storage_whatever_the_route():
+    n, k = 5, 12
+    P = appell_sequence(n, k)[k]
+    routes = {
+        "fueter_sce_monomial": fueter_sce_monomial(n, k + n - 1),
+        "+ and scalar *": P * 3 + P * -2,
+        "scalar * and back": (P * Fraction(14, 9)) * Fraction(9, 14),
+        "sum of halves": P * Fraction(1, 2) + Fraction(1, 2) * P,
+    }
+    lowered_a = poly({(i, j + 2): c / (j + 2) for (i, j), c in P.A.terms()})
+    lowered_b = poly({(i, j + 2): c / (j + 1) for (i, j), c in P.B.terms()})
+    x0_integral = poly({(i + 1, j): c / (i + 1) for (i, j), c in P.A.terms()})
+    for part in ("A", "B"):
+        want = getattr(P, part)
+        assert math.gcd(want._den, *want._num.values()) == 1 and want._den > 1
+        built = poly(dict(want.terms()))
+        assert storage(built) == storage(want)
+        for name, other in routes.items():
+            assert storage(getattr(other, part)) == storage(want), (name, part)
+    assert storage(radial_lower_even(lowered_a)) == storage(P.A)
+    assert storage(radial_lower_odd(lowered_b)) == storage(P.B)
+    first, _ = vekua_residual(AxialPolynomial(x0_integral, BivariatePoly.zero(), n))
+    assert storage(first) == storage(P.A)
+    # every zero has the same storage, however it came about
+    zeros = [P.A - P.A, P.A * 0, vekua_residual(P)[0], BivariatePoly.zero(), poly({(1, 0): 0})]
+    assert {(tuple(z._num.items()), z._den) for z in zeros} == {((), 1)}

@@ -5,13 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffex.clifford import (
-    Multivector,
-    Paravector,
-    UnitDirection,
-    conjugate,
-    paravector_power,
-)
+from cliffex.clifford import Multivector, Paravector, paravector_power
 
 
 def random_multivector(rng, n, max_terms=4):
@@ -108,31 +102,14 @@ def test_paravector_powers_have_grade_at_most_one():
 
 def test_conjugate_gives_squared_norm():
     x = Paravector(Fraction(1), (Fraction(2), Fraction(0), Fraction(-1)))
-    product = x.to_multivector() * conjugate(x).to_multivector()
+    conjugate = Paravector(x.x0, tuple(-c for c in x.vec))
+    product = x.to_multivector() * conjugate.to_multivector()
     assert product == Multivector.scalar(3, Fraction(1 + 4 + 0 + 1))
 
 
 def test_pure_vector_square_is_minus_norm():
     x = Paravector(0, (1, 2, 2))
     assert paravector_power(x, 2) == Multivector.scalar(3, -9)
-
-
-def test_omega_of_zero_vector_raises():
-    with pytest.raises(ValueError):
-        UnitDirection((0, 0, 0))
-
-
-def test_omega_exact_unit_when_norm_is_a_square():
-    direction = UnitDirection((Fraction(3), Fraction(4)))
-    assert direction.norm_sq == 25
-    assert direction.exact_unit() == (Fraction(3, 5), Fraction(4, 5))
-
-
-def test_omega_exact_unit_none_for_irrational_norm():
-    direction = UnitDirection((1, 1, 0))
-    assert direction.exact_unit() is None
-    ux, uy, uz = direction.float_unit()
-    assert abs(ux * ux + uy * uy + uz * uz - 1.0) < 1e-15
 
 
 def test_multivector_text():

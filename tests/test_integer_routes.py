@@ -64,7 +64,7 @@ def residual_cases(rng, n, degree):
         AxialPolynomial(G.A, BivariatePoly.zero(), n),
         AxialPolynomial(BivariatePoly.zero(), G.B, n),
         AxialPolynomial.zero(n),
-        AxialPolynomial.constant(F(-5, 3), n),
+        AxialPolynomial(BivariatePoly({(0, 0): F(-5, 3)}), BivariatePoly.zero(), n),
         G * F(1, 2),
         appell[degree] * F(-3, 2),
         AxialPolynomial(G.A * F(1, 4), G.B, n),

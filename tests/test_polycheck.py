@@ -38,7 +38,7 @@ def test_from_axial_radius_squared():
 
 
 def test_from_axial_constant():
-    P = from_axial(AxialPolynomial.constant(F(7), 3))
+    P = from_axial(AxialPolynomial(BivariatePoly({(0, 0): F(7)}), BivariatePoly.zero(), 3))
     assert P.coefficient((0, 0, 0, 0)) == Multivector.scalar(3, F(7))
 
 

@@ -14,10 +14,22 @@ from cliffex import appell, axial, cli, clifford, exact, fueter, polycheck, seri
 
 SOURCES = sorted(Path(cliffex.__file__).resolve().parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
-# where a reference to a package name counts as a caller
+# where a reference to a package name counts as a caller: not tests/, and
+# not the re-exports in cliffex/__init__.py
 SEARCHED = sorted(
-    path for folder in ("src", "tests", "demos", "benchmarks") for path in (REPO / folder).rglob("*.py")
+    path
+    for folder in ("src", "demos", "benchmarks")
+    for path in (REPO / folder).rglob("*.py")
+    if path.resolve() != Path(cliffex.__file__).resolve()
 )
+# declared oracles that only tests call, each with the reason it stays
+ORACLES = {
+    "diff_r": "BivariatePoly.diff_r, half of the composed-operator Vekua reference in test_integer_routes",
+    "divide_r": "BivariatePoly.divide_r, the other half of that composed-operator reference",
+    "appell_property_check": "the derivative rule for one n and K in one call, the public form of the suite",
+    "cauchy_riemann_apply": "D applied to any coefficients, the reference is_monogenic is tested against",
+    "value_at_zero": "BetaTerm at r = 0, read by the beta-operator acceptance criterion",
+}
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -101,7 +113,9 @@ def test_every_public_definition_has_a_caller():
         for line, name in public_definitions(ast.parse(path.read_text(), str(path)))
         if name not in referenced
     ]
-    assert unreferenced == []
+    assert [item for item in unreferenced if item[2] not in ORACLES] == []
+    # every allowlisted oracle exists and still has no caller outside the tests
+    assert sorted({name for _, _, name in unreferenced}) == sorted(ORACLES)
 
 
 def test_caller_detection():
@@ -133,7 +147,13 @@ def test_every_exported_name_resolves_once():
         (cliffex, "Rational"),
         (clifford, "geometric_product"),
         (clifford, "omega"),
-        (clifford.UnitDirection, "square_scalar"),
+        (cliffex, "UnitDirection"),
+        (cliffex, "conjugate"),
+        (clifford, "UnitDirection"),
+        (clifford, "conjugate"),
+        (axial, "_common_denominator"),
+        (axial.BivariatePoly, "constant"),
+        (axial.AxialPolynomial, "constant"),
         (exact, "Rational"),
         (cli, "RunConfig"),
         (cli, "_config_from_args"),
